@@ -78,14 +78,9 @@ void InvertedFileIndex::AddAll(const std::vector<Tree>& trees,
 
 const std::vector<InvertedFileIndex::Posting>& InvertedFileIndex::postings(
     BranchId branch) const {
-  TREESIM_CHECK_LT(static_cast<size_t>(branch), lists_.size());
+  static const std::vector<Posting> kNoPostings;
+  if (static_cast<size_t>(branch) >= lists_.size()) return kNoPostings;
   return lists_[static_cast<size_t>(branch)];
-}
-
-std::vector<int> InvertedFileIndex::TreesContaining(BranchId branch) const {
-  std::vector<int> out;
-  for (const Posting& p : postings(branch)) out.push_back(p.tree_id);
-  return out;
 }
 
 Status InvertedFileIndex::ValidateInvariants() const {

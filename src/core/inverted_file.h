@@ -55,11 +55,10 @@ class InvertedFileIndex {
   BranchDictionary& branch_dict() { return dict_; }
   const BranchDictionary& branch_dict() const { return dict_; }
 
-  /// Inverted list of one branch, ordered by tree id.
+  /// Inverted list of one branch, ordered by tree id. Empty for a branch
+  /// no indexed tree contains, including the ids that query profiles
+  /// intern into the shared dictionary after the index was built.
   const std::vector<Posting>& postings(BranchId branch) const;
-
-  /// Trees (by id) containing `branch`; convenience for examples/tools.
-  std::vector<int> TreesContaining(BranchId branch) const;
 
   /// Materializes the sparse vector + positional sequences of every indexed
   /// tree by scanning the inverted lists (Algorithm 1, lines 6-13).

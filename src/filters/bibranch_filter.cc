@@ -1,6 +1,8 @@
 #include "filters/bibranch_filter.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "filters/filter_index.h"
@@ -23,6 +25,16 @@ class BiBranchQueryContext final : public FilterQueryContext {
  private:
   BranchProfile profile_;
 };
+
+/// Unit-cost distances are integral, so testing at floor(tau) is exact.
+/// Negative and NaN thresholds admit nothing (-1); huge ones saturate.
+int IntegralTau(double tau) {
+  if (!(tau >= 0)) return -1;
+  if (tau >= std::numeric_limits<int>::max()) {
+    return std::numeric_limits<int>::max();
+  }
+  return static_cast<int>(std::floor(tau));
+}
 
 }  // namespace
 
@@ -64,36 +76,69 @@ double TREESIM_HOT BiBranchFilter::LowerBound(const FilterQueryContext& ctx,
   return BranchDistanceLowerBound(q.profile(), data);
 }
 
-std::optional<std::vector<int>> TREESIM_HOT BiBranchFilter::TryRangeCandidates(
-    const FilterQueryContext& ctx, double tau) const {
-  if (vptree_ == nullptr) return std::nullopt;
-  const auto& q = static_cast<const BiBranchQueryContext&>(ctx);
-  const int itau = static_cast<int>(std::floor(tau));
-  if (itau < 0) return std::vector<int>{};
-  // Anything a BDist-based filter keeps satisfies
-  // BDist <= factor * tau (Theorem 3.2/3.3), so the metric ball around the
-  // query with that radius is a complete candidate set...
-  int64_t calls = 0;
-  std::vector<int> ball = vptree_->RangeSearch(
-      q.profile(),
-      CheckedMul<int64_t>(index_.branch_dict().edit_distance_factor(), itau),
-      &calls);
-  vptree_distance_calls_.fetch_add(calls, std::memory_order_relaxed);
-  TREESIM_COUNTER_ADD("filter.bibranch.ball_candidates",
-                      static_cast<int64_t>(ball.size()));
-  if (!options_.positional) return ball;
-  // ... which the positional test then narrows to exactly the MayQualify
-  // set (the ball already guarantees the BDist part).
-  std::vector<int> candidates;
-  candidates.reserve(ball.size());
-  for (const int id : ball) {
-    if (RangeFilterPasses(q.profile(),
-                          profiles_[static_cast<size_t>(id)], itau,
-                          options_.matching)) {
-      candidates.push_back(id);
+std::vector<int> TREESIM_HOT BiBranchFilter::PostingListGate(
+    const BranchProfile& query, int64_t radius) const {
+  // shared[i] = sum over the query's branches of min(count in query, count
+  // in tree i): the overlap of the two branch multisets. Trees sharing no
+  // branch with the query are never touched and keep 0.
+  std::vector<int> shared(profiles_.size(), 0);
+  int64_t touched = 0;
+  for (const BranchEntry& entry : query.entries) {
+    const std::vector<InvertedFileIndex::Posting>& list =
+        index_.postings(entry.branch);
+    touched = CheckedAdd(touched, static_cast<int64_t>(list.size()));
+    for (const InvertedFileIndex::Posting& posting : list) {
+      int& overlap = shared[static_cast<size_t>(posting.tree_id)];
+      overlap = CheckedAdd(overlap, std::min(entry.count(), posting.count()));
     }
   }
-  TREESIM_COUNTER_ADD("filter.bibranch.positional_survivors",
+  TREESIM_COUNTER_ADD("filter.bibranch.postings_touched", touched);
+  // Each tree's branch counts sum to its size (one branch per node), so
+  // the L1 distance of the two vectors is |Tq| + |Ti| - 2 * overlap.
+  std::vector<int> gated;
+  gated.reserve(profiles_.size());
+  for (size_t id = 0; id < profiles_.size(); ++id) {
+    const int64_t bdist = CheckedSub(
+        CheckedAdd<int64_t>(query.tree_size, profiles_[id].tree_size),
+        CheckedMul<int64_t>(2, shared[id]));
+    if (bdist <= radius) gated.push_back(static_cast<int>(id));
+  }
+  return gated;
+}
+
+std::vector<int> TREESIM_HOT BiBranchFilter::RangeCandidates(
+    const FilterQueryContext& ctx, double tau) const {
+  const auto& q = static_cast<const BiBranchQueryContext&>(ctx);
+  const int itau = IntegralTau(tau);
+  std::vector<int> candidates;
+  if (itau >= 0) {
+    const int64_t radius =
+        CheckedMul<int64_t>(index_.branch_dict().edit_distance_factor(), itau);
+    std::vector<int> gated;
+    if (vptree_ != nullptr) {
+      int64_t calls = 0;
+      gated = vptree_->RangeSearch(q.profile(), radius, &calls);
+      vptree_distance_calls_.fetch_add(calls, std::memory_order_relaxed);
+    } else {
+      gated = PostingListGate(q.profile(), radius);
+    }
+    TREESIM_COUNTER_ADD("filter.bibranch.bdist_candidates",
+                        static_cast<int64_t>(gated.size()));
+    if (options_.positional) {
+      candidates.reserve(gated.size());
+      for (const int id : gated) {
+        if (RangeFilterPasses(q.profile(), profiles_[static_cast<size_t>(id)],
+                              itau, options_.matching)) {
+          candidates.push_back(id);
+        }
+      }
+    } else {
+      candidates = std::move(gated);
+    }
+  }
+  TREESIM_COUNTER_ADD("filter.bibranch.checked",
+                      static_cast<int64_t>(profiles_.size()));
+  TREESIM_COUNTER_ADD("filter.bibranch.passed",
                       static_cast<int64_t>(candidates.size()));
   return candidates;
 }
@@ -102,8 +147,7 @@ bool TREESIM_HOT BiBranchFilter::MayQualify(const FilterQueryContext& ctx,
                                             int tree_id, double tau) const {
   const auto& q = static_cast<const BiBranchQueryContext&>(ctx);
   const BranchProfile& data = profiles_[static_cast<size_t>(tree_id)];
-  // Unit-cost distances are integral, so testing at floor(tau) is exact.
-  const int itau = static_cast<int>(std::floor(tau));
+  const int itau = IntegralTau(tau);
   TREESIM_COUNTER_INC("filter.bibranch.checked");
   bool pass;
   if (options_.positional) {

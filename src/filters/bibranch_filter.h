@@ -2,6 +2,7 @@
 #define TREESIM_FILTERS_BIBRANCH_FILTER_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,9 +32,9 @@ class BiBranchFilter final : public FilterIndex {
     /// How per-branch positional matchings are computed; see MatchingMode.
     MatchingMode matching = MatchingMode::kAuto;
     /// Index the branch vectors in a VP-tree (BDist satisfies the triangle
-    /// inequality) so range queries retrieve their candidate set
-    /// sublinearly instead of scanning every vector. Identical results;
-    /// pays O(N log N) BDist evaluations at Build().
+    /// inequality) so RangeCandidates takes its BDist gate from a metric
+    /// ball instead of the posting-list pass. Identical results; pays
+    /// O(N log N) BDist evaluations at Build().
     bool use_vptree = false;
     /// Pool Build() fans the inverted-file construction out over (borrowed;
     /// must outlive Build()). Index contents are byte-identical to a
@@ -47,12 +48,25 @@ class BiBranchFilter final : public FilterIndex {
 
   std::string name() const override;
   void Build(const std::vector<Tree>& trees) override;
+  int tree_count() const override {
+    return static_cast<int>(profiles_.size());
+  }
   std::unique_ptr<FilterQueryContext> PrepareQuery(const Tree& query) override;
   double LowerBound(const FilterQueryContext& ctx, int tree_id) const override;
   bool MayQualify(const FilterQueryContext& ctx, int tree_id,
                   double tau) const override;
-  std::optional<std::vector<int>> TryRangeCandidates(
-      const FilterQueryContext& ctx, double tau) const override;
+
+  /// One pass instead of a MayQualify probe per tree. Every tree that can
+  /// qualify has BDist <= factor * tau (PosBDist(pr) >= BDist for every
+  /// pr, and Theorem 3.2/3.3 for the plain filter), so the pass first keeps
+  /// those trees — read off the VP-tree ball when use_vptree is on, else
+  /// from BDist = |Tq| + |Ti| - 2 * sum(min(count)) summed over the query's
+  /// posting lists — and runs the positional test (RangeFilterPasses, size
+  /// test first) only on those. The result equals the MayQualify scan; the
+  /// checked/passed counters are published once per call with the scan's
+  /// totals.
+  std::vector<int> RangeCandidates(const FilterQueryContext& ctx,
+                                   double tau) const override;
 
   /// The underlying inverted file (for inspection/examples).
   const InvertedFileIndex& inverted_file() const { return index_; }
@@ -67,6 +81,11 @@ class BiBranchFilter final : public FilterIndex {
   }
 
  private:
+  /// Trees with BDist(query, tree) <= `radius`, ascending, from one pass
+  /// over the query's posting lists.
+  std::vector<int> PostingListGate(const BranchProfile& query,
+                                   int64_t radius) const;
+
   Options options_;
   InvertedFileIndex index_;
   std::vector<BranchProfile> profiles_;

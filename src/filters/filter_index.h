@@ -2,7 +2,6 @@
 #define TREESIM_FILTERS_FILTER_INDEX_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,6 +45,9 @@ class FilterIndex {
   /// A lower bound of EDist(query, tree `tree_id`).
   virtual double LowerBound(const FilterQueryContext& ctx, int tree_id) const = 0;
 
+  /// Number of indexed trees (ids are 0 .. tree_count() - 1).
+  virtual int tree_count() const = 0;
+
   /// Range-query test: false when the tree is certainly farther than `tau`.
   /// Default uses LowerBound(); overridden where a cheaper tau-specific test
   /// exists (the positional BiBranch filter, Section 4.3).
@@ -54,16 +56,22 @@ class FilterIndex {
     return LowerBound(ctx, tree_id) <= tau;
   }
 
-  /// Optional sublinear candidate retrieval for range queries: when a
-  /// filter owns a metric index over its vectors it can return the entire
-  /// may-qualify id set (ascending) without being probed per tree. nullopt
-  /// (the default) makes the engine fall back to the MayQualify scan. The
-  /// returned set must equal { id : MayQualify(ctx, id, tau) } — candidates
-  /// are refined with the exact distance either way, so soundness is about
-  /// completeness of this set.
-  virtual std::optional<std::vector<int>> TryRangeCandidates(
-      const FilterQueryContext& /*ctx*/, double /*tau*/) const {
-    return std::nullopt;
+  /// The range-query candidate set: exactly { id : MayQualify(ctx, id, tau) },
+  /// ascending. Range queries and joins take their candidates only from
+  /// here. The default probes MayQualify once per tree; filters override it
+  /// when they can produce the same set without a per-tree probe (the
+  /// BiBranch filter reads BDist off its posting lists or a VP-tree ball
+  /// and runs the positional test only on what that keeps). Candidates are
+  /// refined with the exact distance either way, so soundness is about
+  /// completeness of this set. Const and safe to call concurrently.
+  virtual std::vector<int> RangeCandidates(const FilterQueryContext& ctx,
+                                           double tau) const {
+    std::vector<int> candidates;
+    candidates.reserve(static_cast<size_t>(tree_count()));
+    for (int id = 0; id < tree_count(); ++id) {
+      if (MayQualify(ctx, id, tau)) candidates.push_back(id);
+    }
+    return candidates;
   }
 };
 

@@ -47,6 +47,7 @@ class HistogramFilter final : public FilterIndex {
 
   std::string name() const override { return "Histo"; }
   void Build(const std::vector<Tree>& trees) override;
+  int tree_count() const override { return static_cast<int>(features_.size()); }
   std::unique_ptr<FilterQueryContext> PrepareQuery(const Tree& query) override;
   double LowerBound(const FilterQueryContext& ctx, int tree_id) const override;
 

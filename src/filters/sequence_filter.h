@@ -50,6 +50,7 @@ class SequenceFilter final : public FilterIndex {
 
   std::string name() const override;
   void Build(const std::vector<Tree>& trees) override;
+  int tree_count() const override { return static_cast<int>(sequences_.size()); }
   std::unique_ptr<FilterQueryContext> PrepareQuery(const Tree& query) override;
   double LowerBound(const FilterQueryContext& ctx, int tree_id) const override;
   bool MayQualify(const FilterQueryContext& ctx, int tree_id,

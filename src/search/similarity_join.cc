@@ -1,8 +1,11 @@
 #include "search/similarity_join.h"
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "filters/filter_index.h"
 #include "ted/bounded_ted.h"
@@ -19,6 +22,12 @@
 
 namespace treesim {
 namespace {
+
+/// Left trees whose candidate pairs are held at once. A join without a
+/// filter makes every pair a candidate, so this bounds the working set to
+/// kLeftBlock * |right| pairs, while a block still spreads enough pairs
+/// over any pool for the workers to balance.
+constexpr int kLeftBlock = 64;
 
 /// Monotonic value of the bounded-TED cell counter, used to attribute the
 /// cells a single join computed to its flight record.
@@ -107,125 +116,9 @@ JoinResult SimilarityJoin::JoinImpl(const TreeDatabase& left, int tau,
   TREESIM_TRACE_SPAN("search.join");
   TREESIM_COUNTER_INC("search.join.joins");
   JoinResult result;
-  if (pool != nullptr && pool->size() > 1 && left.size() >= 2) {
-    // Phase 1, sequential: query preparation in left order (PrepareQuery
-    // may extend the filter's shared dictionaries, so it must not
-    // interleave; preparing in id order also keeps any interning
-    // deterministic).
-    Stopwatch filter_timer;
-    std::vector<std::unique_ptr<FilterQueryContext>> contexts;
-    if (filter_ != nullptr) {
-      contexts.resize(static_cast<size_t>(left.size()));
-      for (int l = 0; l < left.size(); ++l) {
-        contexts[static_cast<size_t>(l)] = filter_->PrepareQuery(left.tree(l));
-      }
-    }
-    result.stats.filter_seconds = filter_timer.ElapsedSeconds();
-
-    // Phase 2, parallel: each left tree probes (const MayQualify) and
-    // refines into its own slot — no shared mutable state.
-    struct PerLeft {
-      std::vector<std::tuple<int, int, int>> pairs;
-      int64_t candidates = 0;
-      int64_t calls = 0;
-    };
-    std::vector<PerLeft> slots(static_cast<size_t>(left.size()));
-    Stopwatch refine_timer;
-    pool->ParallelFor(left.size(), [&](int64_t li) {
-      const int l = static_cast<int>(li);
-      PerLeft& slot = slots[static_cast<size_t>(l)];
-      for (int r = self ? l + 1 : 0; r < right_->size(); ++r) {
-        if (filter_ != nullptr &&
-            !filter_->MayQualify(*contexts[static_cast<size_t>(l)], r, tau)) {
-          continue;
-        }
-        ++slot.candidates;
-        // Bounded verification at the join threshold: exact for every
-        // emitted pair, tau + 1 for every rejected one.
-        const int d =
-            BoundedTreeEditDistance(left.ted_view(l), right_->ted_view(r), tau);
-        ++slot.calls;
-        if (d <= tau) slot.pairs.emplace_back(l, r, d);
-      }
-    });
-    result.stats.refine_seconds = refine_timer.ElapsedSeconds();
-
-    // Phase 3, sequential: merge slots in left order — each slot is
-    // already ascending by r, so the concatenation is ascending by (l, r),
-    // exactly the sequential output.
-    size_t total_pairs = 0;
-    for (const PerLeft& slot : slots) {
-      total_pairs = CheckedAdd(total_pairs, slot.pairs.size());
-    }
-    result.pairs.reserve(total_pairs);
-    for (int l = 0; l < left.size(); ++l) {
-      PerLeft& slot = slots[static_cast<size_t>(l)];
-      result.stats.database_size = CheckedAdd<int64_t>(
-          result.stats.database_size, right_->size() - (self ? l + 1 : 0));
-      result.stats.candidates =
-          CheckedAdd(result.stats.candidates, slot.candidates);
-      result.stats.edit_distance_calls =
-          CheckedAdd(result.stats.edit_distance_calls, slot.calls);
-      result.pairs.insert(result.pairs.end(), slot.pairs.begin(),
-                          slot.pairs.end());
-    }
-    result.stats.results = static_cast<int64_t>(result.pairs.size());
-    TREESIM_COUNTER_ADD("search.join.pairs_considered",
-                        result.stats.database_size);
-    TREESIM_COUNTER_ADD("search.join.candidates", result.stats.candidates);
-    TREESIM_COUNTER_ADD("search.join.refined",
-                        result.stats.edit_distance_calls);
-    TREESIM_COUNTER_ADD("search.join.results", result.stats.results);
-    TREESIM_HISTOGRAM_RECORD(
-        "search.join.filter_micros", LatencyBucketsMicros(),
-        static_cast<int64_t>(result.stats.filter_seconds * 1e6));
-    TREESIM_HISTOGRAM_RECORD(
-        "search.join.refine_micros", LatencyBucketsMicros(),
-        static_cast<int64_t>(result.stats.refine_seconds * 1e6));
-    const int64_t total_micros =
-        static_cast<int64_t>(result.stats.TotalSeconds() * 1e6);
-    TREESIM_WINDOW_RECORD("search.join.latency_window", total_micros);
-    RecordFlight(qctx.query_id(), tau, result.stats, total_micros,
-                 BoundedCellsCounterValue() - bounded_cells_before);
-    MaybeLogJoin(result, qctx.query_id(), tau, self, left.size(),
-                 filter_ == nullptr ? "Sequential" : filter_->name());
-    return result;
-  }
-  std::vector<int> candidates;  // hoisted: reused across left trees
-  for (int l = 0; l < left.size(); ++l) {
-    // In a self join every unordered pair is probed from its smaller id;
-    // the filter still scans all of `right_`, so prune r <= l afterwards
-    // (cheap: MayQualify already ran, but the exact distance is skipped).
-    Stopwatch filter_timer;
-    candidates.clear();
-    candidates.reserve(static_cast<size_t>(right_->size()));
-    if (filter_ == nullptr) {
-      for (int r = self ? l + 1 : 0; r < right_->size(); ++r) {
-        candidates.push_back(r);
-      }
-      result.stats.database_size = CheckedAdd<int64_t>(
-          result.stats.database_size, right_->size() - (self ? l + 1 : 0));
-    } else {
-      const std::unique_ptr<FilterQueryContext> ctx =
-          filter_->PrepareQuery(left.tree(l));
-      for (int r = self ? l + 1 : 0; r < right_->size(); ++r) {
-        if (filter_->MayQualify(*ctx, r, tau)) candidates.push_back(r);
-      }
-      result.stats.database_size = CheckedAdd<int64_t>(
-          result.stats.database_size, right_->size() - (self ? l + 1 : 0));
-    }
-    result.stats.filter_seconds += filter_timer.ElapsedSeconds();
-    result.stats.candidates = CheckedAdd<int64_t>(
-        result.stats.candidates, static_cast<int64_t>(candidates.size()));
-
-    Stopwatch refine_timer;
-    for (const int r : candidates) {
-      const int d =
-          BoundedTreeEditDistance(left.ted_view(l), right_->ted_view(r), tau);
-      ++result.stats.edit_distance_calls;
-      if (d <= tau) result.pairs.emplace_back(l, r, d);
-    }
-    result.stats.refine_seconds += refine_timer.ElapsedSeconds();
+  for (int begin = 0; begin < left.size(); begin += kLeftBlock) {
+    JoinBlock(left, begin, std::min(left.size(), begin + kLeftBlock), tau,
+              self, pool, result);
   }
   result.stats.results = static_cast<int64_t>(result.pairs.size());
   TREESIM_COUNTER_ADD("search.join.pairs_considered",
@@ -248,6 +141,84 @@ JoinResult SimilarityJoin::JoinImpl(const TreeDatabase& left, int tau,
   MaybeLogJoin(result, qctx.query_id(), tau, self, left.size(),
                filter_ == nullptr ? "Sequential" : filter_->name());
   return result;
+}
+
+void SimilarityJoin::JoinBlock(const TreeDatabase& left, int begin, int end,
+                               int tau, bool self, ThreadPool* pool,
+                               JoinResult& result) const {
+  // Filter. Query preparation runs sequentially in left order: PrepareQuery
+  // may extend the filter's shared dictionaries, so it must not interleave,
+  // and id order keeps any interning deterministic. The candidate passes
+  // are const and fan out, one left tree per slot. A self join pairs each
+  // tree only with larger ids, so the rest of its candidate set is dropped.
+  Stopwatch filter_timer;
+  const int block = end - begin;
+  std::vector<std::unique_ptr<FilterQueryContext>> contexts;
+  if (filter_ != nullptr) {
+    contexts.reserve(static_cast<size_t>(block));
+    for (int l = begin; l < end; ++l) {
+      contexts.push_back(filter_->PrepareQuery(left.tree(l)));
+    }
+  }
+  std::vector<std::vector<int>> candidates(static_cast<size_t>(block));
+  ParallelFor(pool, block, [&](int64_t i) {
+    const int first = self ? begin + static_cast<int>(i) + 1 : 0;
+    std::vector<int>& ids = candidates[static_cast<size_t>(i)];
+    if (filter_ == nullptr) {
+      ids.resize(static_cast<size_t>(std::max(0, right_->size() - first)));
+      std::iota(ids.begin(), ids.end(), first);
+    } else {
+      ids = filter_->RangeCandidates(*contexts[static_cast<size_t>(i)], tau);
+      ids.erase(ids.begin(), std::lower_bound(ids.begin(), ids.end(), first));
+    }
+  });
+  // Flatten to (l, r) pairs, ascending — the order the output keeps.
+  size_t pair_count = 0;
+  for (const std::vector<int>& ids : candidates) {
+    pair_count = CheckedAdd(pair_count, ids.size());
+  }
+  std::vector<std::pair<int, int>> pairs;
+  pairs.reserve(pair_count);
+  for (int l = begin; l < end; ++l) {
+    result.stats.database_size = CheckedAdd<int64_t>(
+        result.stats.database_size, right_->size() - (self ? l + 1 : 0));
+    for (const int r : candidates[static_cast<size_t>(l - begin)]) {
+      pairs.emplace_back(l, r);
+    }
+  }
+  result.stats.filter_seconds += filter_timer.ElapsedSeconds();
+  result.stats.candidates =
+      CheckedAdd(result.stats.candidates, static_cast<int64_t>(pair_count));
+
+  // Refine. One bounded verification per candidate pair, each into its own
+  // slot, so the workers balance on pairs rather than on left trees of
+  // uneven candidate counts; exact for every emitted pair, tau + 1 for
+  // every rejected one.
+  Stopwatch refine_timer;
+  std::vector<int> distances(pair_count, 0);
+  ParallelFor(pool, static_cast<int64_t>(pair_count), [&](int64_t p) {
+    const auto [l, r] = pairs[static_cast<size_t>(p)];
+    distances[static_cast<size_t>(p)] =
+        BoundedTreeEditDistance(left.ted_view(l), right_->ted_view(r), tau);
+  });
+  result.stats.edit_distance_calls = CheckedAdd(
+      result.stats.edit_distance_calls, static_cast<int64_t>(pair_count));
+  size_t within_tau = 0;
+  for (const int d : distances) {
+    if (d <= tau) ++within_tau;
+  }
+  // Grow geometrically: an exact reserve per block would copy the pairs of
+  // all earlier blocks again on every block.
+  const size_t needed = CheckedAdd(result.pairs.size(), within_tau);
+  if (needed > result.pairs.capacity()) {
+    result.pairs.reserve(std::max(needed, 2 * result.pairs.capacity()));
+  }
+  for (size_t p = 0; p < pair_count; ++p) {
+    if (distances[p] <= tau) {
+      result.pairs.emplace_back(pairs[p].first, pairs[p].second, distances[p]);
+    }
+  }
+  result.stats.refine_seconds += refine_timer.ElapsedSeconds();
 }
 
 }  // namespace treesim

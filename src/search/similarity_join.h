@@ -39,13 +39,20 @@ class SimilarityJoin {
   SimilarityJoin(const SimilarityJoin&) = delete;
   SimilarityJoin& operator=(const SimilarityJoin&) = delete;
 
-  /// All (l, r) with EDist(left[l], right[r]) <= tau. With a pool, query
-  /// preparation stays sequential (filters may extend shared dictionaries),
-  /// then each left tree's probe + refinement fans out over the workers
-  /// into a per-left result slot; slots merge in left-id order, so `pairs`
-  /// and the counting stats are identical to the sequential join for any
-  /// pool size (only the seconds attribution shifts: probing is timed with
-  /// refinement rather than with preparation).
+  /// All (l, r) with EDist(left[l], right[r]) <= tau. The left side is
+  /// processed in blocks of left trees, each in three steps:
+  ///   1. filter: PrepareQuery for each left tree of the block, sequential
+  ///      in left order (filters may extend shared dictionaries), then one
+  ///      RangeCandidates pass per left tree, fanned out over `pool`, each
+  ///      into its own slot;
+  ///   2. the candidate sets are flattened into (l, r) pairs, ascending;
+  ///   3. refine: one ParallelFor over those pairs, each bounded
+  ///      verification into its own per-pair slot, merged in (l, r) order.
+  /// Workers therefore balance on candidate pairs, not on left trees with
+  /// uneven candidate counts, and `pairs` and every counting stat are
+  /// identical to the sequential join (pool == nullptr) for any pool
+  /// size; only the seconds shift. Must not be called from a worker of
+  /// `pool`.
   JoinResult Join(const TreeDatabase& left, int tau,
                   ThreadPool* pool = nullptr);
 
@@ -56,6 +63,11 @@ class SimilarityJoin {
  private:
   JoinResult JoinImpl(const TreeDatabase& left, int tau, bool self,
                       ThreadPool* pool);
+
+  /// Steps 1-3 of Join() for left trees [begin, end), appending pairs and
+  /// stats to `result`.
+  void JoinBlock(const TreeDatabase& left, int begin, int end, int tau,
+                 bool self, ThreadPool* pool, JoinResult& result) const;
 
   const TreeDatabase* right_;
   std::unique_ptr<FilterIndex> filter_;

@@ -112,16 +112,7 @@ RangeResult SimilaritySearch::Range(const Tree& query, int tau,
       }
     } else {
       ctx = filter_->PrepareQuery(query);
-      std::optional<std::vector<int>> batch =
-          filter_->TryRangeCandidates(*ctx, tau);
-      if (batch.has_value()) {
-        candidates = std::move(*batch);  // metric-index fast path
-      } else {
-        candidates.reserve(static_cast<size_t>(db_->size()));
-        for (int id = 0; id < db_->size(); ++id) {
-          if (filter_->MayQualify(*ctx, id, tau)) candidates.push_back(id);
-        }
-      }
+      candidates = filter_->RangeCandidates(*ctx, tau);
     }
   }
   TREESIM_HISTOGRAM_RECORD("search.range.filter_micros",
@@ -502,16 +493,7 @@ WeightedRangeResult SimilaritySearch::RangeWeighted(const Tree& query,
     }
   } else {
     ctx = filter_->PrepareQuery(query);
-    std::optional<std::vector<int>> batch =
-        filter_->TryRangeCandidates(*ctx, unit_tau);
-    if (batch.has_value()) {
-      candidates = std::move(*batch);
-    } else {
-      candidates.reserve(static_cast<size_t>(db_->size()));
-      for (int id = 0; id < db_->size(); ++id) {
-        if (filter_->MayQualify(*ctx, id, unit_tau)) candidates.push_back(id);
-      }
-    }
+    candidates = filter_->RangeCandidates(*ctx, unit_tau);
   }
   result.stats.filter_seconds = filter_timer.ElapsedSeconds();
   result.stats.candidates = static_cast<int64_t>(candidates.size());

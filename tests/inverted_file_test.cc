@@ -46,12 +46,34 @@ TEST(InvertedFileTest, PostingsMatchPaperInvertedFile) {
   EXPECT_EQ(c_list[0].positions,
             (std::vector<std::pair<int, int>>{{3, 1}, {6, 4}}));
 
-  EXPECT_EQ(index.TreesContaining(find_branch("b(c,b)")),
-            std::vector<int>{0});
-  EXPECT_EQ(index.TreesContaining(find_branch("b(c,c)")),
-            std::vector<int>{1});
-  EXPECT_EQ(index.TreesContaining(find_branch("a(b,\xCE\xB5)")),
-            (std::vector<int>{0, 1}));
+  auto trees_containing = [&](const std::string& name) {
+    std::vector<int> ids;
+    for (const auto& posting : index.postings(find_branch(name))) {
+      ids.push_back(posting.tree_id);
+    }
+    return ids;
+  };
+  EXPECT_EQ(trees_containing("b(c,b)"), std::vector<int>{0});
+  EXPECT_EQ(trees_containing("b(c,c)"), std::vector<int>{1});
+  EXPECT_EQ(trees_containing("a(b,\xCE\xB5)"), (std::vector<int>{0, 1}));
+}
+
+TEST(InvertedFileTest, QueryOnlyBranchesHaveNoPostings) {
+  // A query profile interns branches the indexed trees lack into the shared
+  // dictionary after the lists were built; their postings are empty.
+  auto dict = std::make_shared<LabelDictionary>();
+  InvertedFileIndex index(2);
+  index.Add(MakeTree("a{b c}", dict));
+  const size_t built = index.branch_dict().size();
+  const BranchProfile query =
+      BranchProfile::FromTree(MakeTree("x{y{z}}", dict), index.branch_dict());
+  ASSERT_GT(index.branch_dict().size(), built);
+  for (const BranchEntry& entry : query.entries) {
+    ASSERT_GE(entry.branch, built);
+    EXPECT_TRUE(index.postings(entry.branch).empty());
+  }
+  EXPECT_TRUE(index.postings(static_cast<BranchId>(1) << 30).empty());
+  EXPECT_EQ(index.postings(0).size(), 1u);
 }
 
 TEST(InvertedFileTest, BuildProfilesMatchesDirectExtraction) {

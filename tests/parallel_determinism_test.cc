@@ -4,6 +4,7 @@
 // verifications, which is why these tests compare results, not stats
 // counters, for Knn).
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -167,6 +168,22 @@ TEST(ParallelDeterminismTest, BatchKnnMatchesSequentialKnn) {
             static_cast<int64_t>(queries.size()) * db->size());
 }
 
+/// Pool sizes the join is checked at: one worker, fewer workers than left
+/// trees, a count that does not divide the work, and more workers than
+/// candidate pairs in some blocks.
+constexpr int kJoinPoolSizes[] = {1, 2, 3, 8};
+
+/// Join refinement fans out over candidate pairs, so pool size must change
+/// neither the pairs nor any counting stat.
+void ExpectSameJoin(const JoinResult& p, const JoinResult& s,
+                    const std::string& what) {
+  EXPECT_EQ(p.pairs, s.pairs) << what;
+  EXPECT_EQ(p.stats.database_size, s.stats.database_size) << what;
+  EXPECT_EQ(p.stats.candidates, s.stats.candidates) << what;
+  EXPECT_EQ(p.stats.edit_distance_calls, s.stats.edit_distance_calls) << what;
+  EXPECT_EQ(p.stats.results, s.stats.results) << what;
+}
+
 TEST(ParallelDeterminismTest, JoinAndSelfJoinIdentical) {
   auto right = SeededDb(40, 2037);
   auto left = std::make_unique<TreeDatabase>(right->label_dict());
@@ -179,7 +196,6 @@ TEST(ParallelDeterminismTest, JoinAndSelfJoinIdentical) {
                            right->label_dict(), rng));
     }
   }
-  ThreadPool pool(kWorkers);
   for (const bool filtered : {false, true}) {
     for (const int tau : {1, 3}) {
       SimilarityJoin seq(
@@ -189,17 +205,35 @@ TEST(ParallelDeterminismTest, JoinAndSelfJoinIdentical) {
           right.get(),
           filtered ? std::make_unique<BiBranchFilter>() : nullptr);
       const JoinResult s = seq.Join(*left, tau, nullptr);
-      const JoinResult p = par.Join(*left, tau, &pool);
-      EXPECT_EQ(p.pairs, s.pairs) << "tau=" << tau;
-      EXPECT_EQ(p.stats.candidates, s.stats.candidates);
-      EXPECT_EQ(p.stats.edit_distance_calls, s.stats.edit_distance_calls);
-      EXPECT_EQ(p.stats.database_size, s.stats.database_size);
-
       const JoinResult ss = seq.SelfJoin(tau, nullptr);
-      const JoinResult ps = par.SelfJoin(tau, &pool);
-      EXPECT_EQ(ps.pairs, ss.pairs) << "self tau=" << tau;
-      EXPECT_EQ(ps.stats.edit_distance_calls, ss.stats.edit_distance_calls);
+      for (const int workers : kJoinPoolSizes) {
+        ThreadPool pool(workers);
+        const std::string what = "workers=" + std::to_string(workers) +
+                                 " tau=" + std::to_string(tau) +
+                                 " filtered=" + std::to_string(filtered);
+        ExpectSameJoin(par.Join(*left, tau, &pool), s, what);
+        ExpectSameJoin(par.SelfJoin(tau, &pool), ss, "self " + what);
+      }
     }
+  }
+}
+
+TEST(ParallelDeterminismTest, JoinSpanningSeveralBlocksIdentical) {
+  // 150 left trees span three blocks of 64, so blocks and their per-pair
+  // slots must concatenate in (l, r) order — checked against the
+  // unfiltered join too, whose candidates are every pair.
+  auto db = SeededDb(150, 2049, 10);
+  SimilarityJoin seq(db.get(), std::make_unique<BiBranchFilter>());
+  SimilarityJoin par(db.get(), std::make_unique<BiBranchFilter>());
+  const JoinResult s = seq.SelfJoin(2, nullptr);
+  ASSERT_GT(s.stats.results, 0);
+  const JoinResult all = SimilarityJoin(db.get(), nullptr).SelfJoin(2);
+  EXPECT_EQ(s.pairs, all.pairs);
+  EXPECT_EQ(all.stats.edit_distance_calls, 150 * 149 / 2);
+  for (const int workers : kJoinPoolSizes) {
+    ThreadPool pool(workers);
+    ExpectSameJoin(par.SelfJoin(2, &pool), s,
+                   "workers=" + std::to_string(workers));
   }
 }
 
@@ -264,9 +298,14 @@ TEST(ParallelDeterminismTest, BoundedRangeAndJoinDeterministicUnderTies) {
     SimilarityJoin jseq(db.get(), std::make_unique<BiBranchFilter>());
     SimilarityJoin jpar(db.get(), std::make_unique<BiBranchFilter>());
     const JoinResult s = jseq.SelfJoin(tau, nullptr);
-    const JoinResult p = jpar.SelfJoin(tau, &pool);
-    EXPECT_EQ(p.pairs, s.pairs) << "tau=" << tau;
-    EXPECT_EQ(p.stats.edit_distance_calls, s.stats.edit_distance_calls);
+    for (const int workers : kJoinPoolSizes) {
+      ThreadPool join_pool(workers);
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        ExpectSameJoin(jpar.SelfJoin(tau, &join_pool), s,
+                       "workers=" + std::to_string(workers) +
+                           " tau=" + std::to_string(tau));
+      }
+    }
   }
 }
 

@@ -186,7 +186,7 @@ TEST(VpTreeFilterIntegrationTest, VpTreeRangeResultsMatchLinearFilter) {
         const RangeResult b = vp.Range(query, tau);
         EXPECT_EQ(a.matches, b.matches)
             << "positional=" << positional << " tau=" << tau;
-        // Identical candidate sets (the contract of TryRangeCandidates).
+        // Identical candidate sets (the contract of RangeCandidates).
         EXPECT_EQ(a.stats.candidates, b.stats.candidates);
       }
     }

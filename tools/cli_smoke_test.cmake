@@ -20,6 +20,26 @@ function(run_cli expect_substring)
   endif()
 endfunction()
 
+# Runs a command that must be rejected with a usage error: exit code 1 (not
+# a crash such as 134 from an abort) and a message matching
+# `expect_substring` on stderr.
+function(run_cli_rejects expect_substring)
+  execute_process(
+    COMMAND ${CLI} ${ARGN}
+    RESULT_VARIABLE code
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR
+      "treesim_cli ${ARGN}: expected exit 1, got ${code}: ${err}")
+  endif()
+  if(NOT err MATCHES "${expect_substring}")
+    message(FATAL_ERROR
+      "treesim_cli ${ARGN}: expected error matching '${expect_substring}', "
+      "got: ${err}")
+  endif()
+endfunction()
+
 file(MAKE_DIRECTORY ${TMP})
 set(data ${TMP}/cli_smoke.trees)
 set(xml ${TMP}/cli_smoke.xml)
@@ -48,6 +68,14 @@ run_cli("imported 2 records" import --xml=${xml} --out=${TMP}/imported.trees)
 run_cli("trees: +2" stats --data=${TMP}/imported.trees)
 
 # Error paths exit non-zero.
+run_cli_rejects("INVALID_ARGUMENT.*--k must be positive" knn --data=${data}
+                "--query=article{author{auth0}}" --k=0)
+run_cli_rejects("INVALID_ARGUMENT.*--k must be positive" knn --data=${data}
+                "--query=article{author{auth0}}" --k=-3)
+run_cli_rejects("INVALID_ARGUMENT.*--k must be in \\[1, 80\\]"
+                cluster --data=${data} --k=0)
+run_cli_rejects("INVALID_ARGUMENT.*--k must be in \\[1, 80\\]"
+                cluster --data=${data} --k=81)
 execute_process(COMMAND ${CLI} stats --data=/no/such/file
                 RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
 if(code EQUAL 0)

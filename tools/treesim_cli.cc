@@ -16,7 +16,9 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -349,7 +351,13 @@ int CmdKnn(const FlagParser& flags) {
   if (!db_or.ok()) return Fail(db_or.status());
   auto query_or = ParseTreeFlag(flags, "query", labels);
   if (!query_or.ok()) return Fail(query_or.status());
-  const int k = static_cast<int>(flags.GetInt("k", 5));
+  const int64_t k_flag = flags.GetInt("k", 5);
+  if (k_flag <= 0) {
+    return Fail(Status::InvalidArgument("--k must be positive, got " +
+                                        std::to_string(k_flag)));
+  }
+  const int k = static_cast<int>(
+      std::min<int64_t>(k_flag, std::numeric_limits<int>::max()));
 
   SimilaritySearch engine(db_or->get(),
                           MakeFilter(flags.GetString("filter", "bibranch")));
@@ -395,8 +403,14 @@ int CmdCluster(const FlagParser& flags) {
   auto labels = std::make_shared<LabelDictionary>();
   auto db_or = LoadDatabase(flags.GetString("data", ""), labels);
   if (!db_or.ok()) return Fail(db_or.status());
+  const int64_t k_flag = flags.GetInt("k", 3);
+  if (k_flag <= 0 || k_flag > (*db_or)->size()) {
+    return Fail(Status::InvalidArgument(
+        "--k must be in [1, " + std::to_string((*db_or)->size()) +
+        "] (the number of trees), got " + std::to_string(k_flag)));
+  }
   KMedoidsOptions options;
-  options.k = static_cast<int>(flags.GetInt("k", 3));
+  options.k = static_cast<int>(k_flag);
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   const ClusteringResult r = KMedoids(**db_or, options, rng);
   std::printf("k=%d cost=%lld iterations=%d (exact distances: %lld, "
