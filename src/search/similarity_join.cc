@@ -3,22 +3,17 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "filters/filter_index.h"
+#include "search/query_scope.h"
 #include "ted/bounded_ted.h"
-#include "util/flight_recorder.h"
-#include "util/hot.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/query_context.h"
 #include "util/safe_math.h"
 #include "util/stopwatch.h"
-#include "util/structured_log.h"
 #include "util/thread_pool.h"
-#include "util/trace.h"
 
 namespace treesim {
 namespace {
@@ -28,66 +23,6 @@ namespace {
 /// kLeftBlock * |right| pairs, while a block still spreads enough pairs
 /// over any pool for the workers to balance.
 constexpr int kLeftBlock = 64;
-
-/// Monotonic value of the bounded-TED cell counter, used to attribute the
-/// cells a single join computed to its flight record.
-int64_t BoundedCellsCounterValue() {
-  static Counter& counter =
-      MetricsRegistry::Global().GetCounter("ted.bounded_cells_computed");
-  return counter.value();
-}
-
-/// Publishes one completed-join record into the always-on flight recorder.
-void RecordFlight(int64_t query_id, int64_t tau, const QueryStats& stats,
-                  int64_t total_micros, int64_t bounded_cells_delta) {
-  if constexpr (kMetricsEnabled) {
-    FlightRecord rec;
-    rec.query_id = query_id;
-    rec.ts_micros = UnixMicros();
-    rec.op = "join";
-    rec.param = tau;
-    rec.database_size = stats.database_size;
-    rec.candidates = stats.candidates;
-    rec.refined = stats.edit_distance_calls;
-    rec.results = stats.results;
-    rec.filter_micros = static_cast<int64_t>(stats.filter_seconds * 1e6);
-    rec.refine_micros = static_cast<int64_t>(stats.refine_seconds * 1e6);
-    rec.total_micros = total_micros;
-    rec.bounded_cells_delta = bounded_cells_delta;
-    rec.slow = StructuredLog::Global().IsSlow(total_micros);
-    FlightRecorder::Global().Record(rec);
-  }
-}
-
-/// Query-log record for one join call (both the parallel and the
-/// sequential paths funnel through here before returning). Cold: runs
-/// once per join, after the timers stop, and only when sampled in.
-void TREESIM_COLD MaybeLogJoin(const JoinResult& result, int64_t query_id,
-                               int tau, bool self, int64_t left_size,
-                               const std::string& filter_name) {
-  StructuredLog& qlog = StructuredLog::Global();
-  const int64_t total_micros =
-      static_cast<int64_t>(result.stats.TotalSeconds() * 1e6);
-  if (!qlog.ShouldLog(total_micros)) return;
-  LogRecord rec;
-  rec.Int("ts_micros", UnixMicros())
-      .Str("event", self ? "self_join" : "join")
-      .Int("query_id", query_id)
-      .Str("filter", filter_name)
-      .Int("tau", tau)
-      .Int("left_size", left_size)
-      .Int("database_size", result.stats.database_size)
-      .Int("candidates", result.stats.candidates)
-      .Int("refined", result.stats.edit_distance_calls)
-      .Int("results", result.stats.results)
-      .Int("filter_micros",
-           static_cast<int64_t>(result.stats.filter_seconds * 1e6))
-      .Int("refine_micros",
-           static_cast<int64_t>(result.stats.refine_seconds * 1e6))
-      .Int("total_micros", total_micros)
-      .Bool("slow", qlog.IsSlow(total_micros));
-  qlog.Write(rec);
-}
 
 }  // namespace
 
@@ -111,11 +46,12 @@ JoinResult SimilarityJoin::JoinImpl(const TreeDatabase& left, int tau,
                                     bool self, ThreadPool* pool) {
   TREESIM_CHECK(left.label_dict() == right_->label_dict())
       << "join sides must share one label dictionary";
-  const ScopedQueryContext qctx("join");
-  const int64_t bounded_cells_before = BoundedCellsCounterValue();
-  TREESIM_TRACE_SPAN("search.join");
-  TREESIM_COUNTER_INC("search.join.joins");
+  static const QueryOp& op = *new QueryOp("join", "joins");
   JoinResult result;
+  QueryScope scope(op, result.stats, filter_.get());
+  scope.set_event(self ? "self_join" : "join");
+  scope.Param("tau", tau);
+  scope.Field("left_size", left.size());
   for (int begin = 0; begin < left.size(); begin += kLeftBlock) {
     JoinBlock(left, begin, std::min(left.size(), begin + kLeftBlock), tau,
               self, pool, result);
@@ -123,23 +59,6 @@ JoinResult SimilarityJoin::JoinImpl(const TreeDatabase& left, int tau,
   result.stats.results = static_cast<int64_t>(result.pairs.size());
   TREESIM_COUNTER_ADD("search.join.pairs_considered",
                       result.stats.database_size);
-  TREESIM_COUNTER_ADD("search.join.candidates", result.stats.candidates);
-  TREESIM_COUNTER_ADD("search.join.refined",
-                      result.stats.edit_distance_calls);
-  TREESIM_COUNTER_ADD("search.join.results", result.stats.results);
-  TREESIM_HISTOGRAM_RECORD(
-      "search.join.filter_micros", LatencyBucketsMicros(),
-      static_cast<int64_t>(result.stats.filter_seconds * 1e6));
-  TREESIM_HISTOGRAM_RECORD(
-      "search.join.refine_micros", LatencyBucketsMicros(),
-      static_cast<int64_t>(result.stats.refine_seconds * 1e6));
-  const int64_t total_micros =
-      static_cast<int64_t>(result.stats.TotalSeconds() * 1e6);
-  TREESIM_WINDOW_RECORD("search.join.latency_window", total_micros);
-  RecordFlight(qctx.query_id(), tau, result.stats, total_micros,
-               BoundedCellsCounterValue() - bounded_cells_before);
-  MaybeLogJoin(result, qctx.query_id(), tau, self, left.size(),
-               filter_ == nullptr ? "Sequential" : filter_->name());
   return result;
 }
 

@@ -70,27 +70,28 @@ class SimilaritySearch {
   SimilaritySearch(SimilaritySearch&&) = default;
   SimilaritySearch& operator=(SimilaritySearch&&) = default;
 
-  /// All trees with EDist(query, tree) <= tau. Filtering uses
-  /// FilterIndex::MayQualify; survivors are verified with exact TED. With a
-  /// pool, candidate verification (the dominant cost) fans out over the
-  /// workers into per-candidate slots; matches and stats are identical to
-  /// the sequential scan for any pool size.
+  /// All trees with EDist(query, tree) <= tau. Candidates come from
+  /// FilterIndex::RangeCandidates (every tree without a filter) and are
+  /// verified with the tau-bounded TED. With a pool, candidate
+  /// verification (the dominant cost) fans out over the workers into
+  /// per-candidate slots; matches and stats are identical to the
+  /// sequential scan for any pool size.
   RangeResult Range(const Tree& query, int tau, ThreadPool* pool = nullptr);
 
   /// The k nearest neighbors by exact TED, via the optimal multi-step
   /// strategy (Algorithm 2): lower bounds for every tree, ascending sweep,
   /// early break once the k-th best exact distance is below the next bound.
   ///
-  /// With a pool the sweep refines candidates in parallel, bound-ascending
-  /// blocks at a time: each worker verifies candidates thread-locally and
-  /// merges into a mutex-guarded result heap; a candidate is skipped when
-  /// its bound already exceeds the current k-th best exact distance, and
-  /// the sweep stops at the first block whose smallest bound does — the
-  /// same soundness argument as the sequential early break (every skipped
-  /// tree has exact distance >= bound > k-th best). `neighbors` is
-  /// byte-identical for any pool size; `stats.edit_distance_calls` may
-  /// exceed the sequential count (a block may verify a few candidates past
-  /// the optimal stopping point).
+  /// One sweep serves every pool size: bound-ascending blocks of
+  /// max(k, 8 * workers) trees, each verified against a mutex-guarded
+  /// result heap; a tree is skipped when its bound already exceeds the
+  /// current k-th best exact distance, and the sweep stops at the first
+  /// block whose smallest bound does (every skipped tree has exact
+  /// distance >= bound > k-th best). `neighbors` is byte-identical for
+  /// any pool size. Without a pool or with one worker the sweep verifies
+  /// exactly Algorithm 2's sequence; with more workers
+  /// `stats.edit_distance_calls` may exceed it (a block may verify a few
+  /// candidates past the optimal stopping point).
   KnnResult Knn(const Tree& query, int k, ThreadPool* pool = nullptr);
 
   /// Batch k-NN entry point: answers `queries` in input order, refining
@@ -109,10 +110,13 @@ class SimilaritySearch {
   /// weighted-optimal script has at least that many operations, each
   /// costing >= costs.MinOperationCost(), so bounds scale by that constant
   /// and exactness is preserved. costs.MinOperationCost() must be > 0.
+  /// Runs the same pipeline as Range() (unit cost is the case c_min = 1);
+  /// tau = +inf returns every tree and NaN none.
   WeightedRangeResult RangeWeighted(const Tree& query, double tau,
                                     const CostModel& costs);
 
-  /// k-NN under a general cost model (same scaling argument).
+  /// k-NN under a general cost model (same scaling argument, same sweep
+  /// as Knn()).
   WeightedKnnResult KnnWeighted(const Tree& query, int k,
                                 const CostModel& costs);
 

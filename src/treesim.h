@@ -9,7 +9,6 @@
 #include "core/binary_branch.h"    // IWYU pragma: export
 #include "core/binary_tree.h"      // IWYU pragma: export
 #include "core/branch_profile.h"   // IWYU pragma: export
-#include "core/index_io.h"         // IWYU pragma: export
 #include "core/inverted_file.h"    // IWYU pragma: export
 #include "core/positional.h"       // IWYU pragma: export
 #include "core/vptree.h"           // IWYU pragma: export
@@ -26,7 +25,6 @@
 #include "search/similarity_join.h"    // IWYU pragma: export
 #include "search/similarity_search.h"  // IWYU pragma: export
 #include "search/tree_database.h"      // IWYU pragma: export
-#include "strgram/pqgram.h"                 // IWYU pragma: export
 #include "strgram/qgram.h"                  // IWYU pragma: export
 #include "strgram/string_edit_distance.h"   // IWYU pragma: export
 #include "ted/bounded_ted.h"           // IWYU pragma: export

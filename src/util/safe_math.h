@@ -2,6 +2,7 @@
 #define TREESIM_UTIL_SAFE_MATH_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <type_traits>
@@ -129,6 +130,19 @@ template <typename To, typename From>
     return std::numeric_limits<To>::min();
   }
   return std::numeric_limits<To>::max();
+}
+
+/// double -> int64_t with a defined result for every input, where a plain
+/// static_cast is undefined for NaN, infinities and anything outside the
+/// int64 range: truncates toward zero in range, saturates at the int64
+/// limits beyond it (infinities included), and maps NaN to 0. A deliberate
+/// conversion rather than an overflow, so SafeMathStats is not bumped.
+[[nodiscard]] inline int64_t SaturatingCastToInt64(double v) {
+  if (std::isnan(v)) return 0;
+  constexpr double kTwoPow63 = 9223372036854775808.0;  // exact in a double
+  if (v >= kTwoPow63) return std::numeric_limits<int64_t>::max();
+  if (v < -kTwoPow63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(v);
 }
 
 /// CheckedAdd for templated accumulation code that is instantiated with

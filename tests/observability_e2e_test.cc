@@ -14,8 +14,10 @@
 
 #include "filters/bibranch_filter.h"
 #include "gtest/gtest.h"
+#include "search/similarity_join.h"
 #include "search/similarity_search.h"
 #include "search/tree_database.h"
+#include "ted/cost_model.h"
 #include "test_util.h"
 #include "ted/zhang_shasha.h"
 #include "util/metrics.h"
@@ -171,6 +173,56 @@ TEST_F(ObservabilityE2eTest, KnnCountersAgreeWithQueryStats) {
   ASSERT_NE(refine_h, nullptr);
   EXPECT_EQ(filter_h->count, kQueries);
   EXPECT_EQ(refine_h->count, kQueries);
+}
+
+TEST_F(ObservabilityE2eTest, WeightedCountersAgreeWithQueryStats) {
+  // The weighted entry points run the same pipeline, so they report the
+  // same funnel under their own names.
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  QueryStats range_total;
+  QueryStats knn_total;
+  for (const Tree& q : queries_) {
+    range_total +=
+        engine_->RangeWeighted(q, /*tau=*/6.0, UnitCostModel::Get()).stats;
+    knn_total += engine_->KnnWeighted(q, /*k=*/3, UnitCostModel::Get()).stats;
+  }
+  const MetricsSnapshot d =
+      MetricsRegistry::Global().Snapshot().DiffSince(before);
+
+  EXPECT_EQ(d.counter("search.range_weighted.queries"), kQueries);
+  EXPECT_EQ(d.counter("search.range_weighted.candidates"),
+            range_total.candidates);
+  EXPECT_EQ(d.counter("search.range_weighted.refined"),
+            range_total.edit_distance_calls);
+  EXPECT_EQ(d.counter("search.range_weighted.results"), range_total.results);
+
+  EXPECT_EQ(d.counter("search.knn_weighted.queries"), kQueries);
+  EXPECT_EQ(d.counter("search.knn_weighted.bounds_computed"),
+            int64_t{kDbSize} * kQueries);
+  EXPECT_EQ(d.counter("search.knn_weighted.refined"),
+            knn_total.edit_distance_calls);
+  EXPECT_EQ(d.counter("search.knn_weighted.results"), knn_total.results);
+  const MetricsSnapshot::HistogramValue* gap =
+      d.histogram("search.knn_weighted.bound_gap");
+  ASSERT_NE(gap, nullptr);
+  EXPECT_EQ(gap->count, knn_total.edit_distance_calls);
+}
+
+TEST_F(ObservabilityE2eTest, JoinCountersAgreeWithQueryStats) {
+  SimilarityJoin join(db_.get(), std::make_unique<BiBranchFilter>());
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  const JoinResult r = join.SelfJoin(/*tau=*/3);
+  const MetricsSnapshot d =
+      MetricsRegistry::Global().Snapshot().DiffSince(before);
+  EXPECT_EQ(d.counter("search.join.joins"), 1);
+  EXPECT_EQ(d.counter("search.join.pairs_considered"), r.stats.database_size);
+  EXPECT_EQ(d.counter("search.join.candidates"), r.stats.candidates);
+  EXPECT_EQ(d.counter("search.join.refined"), r.stats.edit_distance_calls);
+  EXPECT_EQ(d.counter("search.join.results"), r.stats.results);
+  const MetricsSnapshot::HistogramValue* refine_h =
+      d.histogram("search.join.refine_micros");
+  ASSERT_NE(refine_h, nullptr);
+  EXPECT_EQ(refine_h->count, 1);
 }
 
 TEST_F(ObservabilityE2eTest, BatchKnnMatchesPerQueryAccounting) {

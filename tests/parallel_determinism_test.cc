@@ -1,8 +1,8 @@
 // Pins the determinism contract of every pool-aware layer: with any worker
 // count, results are identical to the sequential path — parallelism may
-// only change wall-clock time (and, for the k-NN sweep, the number of
-// verifications, which is why these tests compare results, not stats
-// counters, for Knn).
+// only change wall-clock time (and, for the k-NN sweep on more than one
+// worker, the number of verifications, which is why those Knn checks
+// compare results, not stats counters).
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +13,7 @@
 #include "search/pairwise.h"
 #include "search/similarity_join.h"
 #include "search/similarity_search.h"
+#include "ted/cost_model.h"
 #include "test_util.h"
 #include "util/thread_pool.h"
 
@@ -140,6 +141,45 @@ TEST(ParallelDeterminismTest, KnnIdenticalNeighbors) {
         // parallel block can verify past the sequential stopping point).
         EXPECT_EQ(p.neighbors, s.neighbors)
             << "k=" << k << " filtered=" << filtered;
+      }
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, OneKnnSweepForEveryPoolAndCostModel) {
+  // Knn and KnnWeighted run one blocked sweep. Without a pool, or with a
+  // single worker, it verifies exactly Algorithm 2's sequence, so the
+  // verification count agrees too; under unit costs the weighted sweep
+  // makes the same verifications at the same thresholds.
+  auto db = SeededDb(80, 2043);
+  ThreadPool one(1);
+  ThreadPool many(kWorkers);
+  const CostModel& unit = UnitCostModel::Get();
+  for (const bool filtered : {false, true}) {
+    SimilaritySearch engine(
+        db.get(), filtered ? std::make_unique<BiBranchFilter>() : nullptr);
+    for (const int k : {1, 3, 10, 200 /* > |D| */}) {
+      for (int qi = 0; qi < 5; ++qi) {
+        const Tree& query = db->tree(qi * 13);
+        const std::string what =
+            "k=" + std::to_string(k) + " filtered=" + std::to_string(filtered);
+        const KnnResult none = engine.Knn(query, k, nullptr);
+        const KnnResult single = engine.Knn(query, k, &one);
+        const KnnResult multi = engine.Knn(query, k, &many);
+        const WeightedKnnResult weighted = engine.KnnWeighted(query, k, unit);
+        EXPECT_EQ(single.neighbors, none.neighbors) << what;
+        EXPECT_EQ(multi.neighbors, none.neighbors) << what;
+        EXPECT_EQ(single.stats.edit_distance_calls,
+                  none.stats.edit_distance_calls)
+            << what;
+        ASSERT_EQ(weighted.neighbors.size(), none.neighbors.size()) << what;
+        for (size_t i = 0; i < none.neighbors.size(); ++i) {
+          EXPECT_EQ(weighted.neighbors[i].first, none.neighbors[i].first);
+          EXPECT_EQ(weighted.neighbors[i].second, none.neighbors[i].second);
+        }
+        EXPECT_EQ(weighted.stats.edit_distance_calls,
+                  none.stats.edit_distance_calls)
+            << what;
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "util/safe_math.h"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -59,6 +60,18 @@ TEST(SafeMathTest, CheckedAddAnyDispatch) {
   EXPECT_OVERFLOW(CheckedAddAny(kMax32, 1));
   // ...floating point adds directly (the Zhang-Shasha weighted kernel).
   EXPECT_DOUBLE_EQ(CheckedAddAny(0.5, 0.25), 0.75);
+}
+
+TEST(SafeMathTest, SaturatingCastToInt64IsDefinedEverywhere) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(SaturatingCastToInt64(2.9), 2);
+  EXPECT_EQ(SaturatingCastToInt64(-2.9), -2);
+  EXPECT_EQ(SaturatingCastToInt64(kInf), kMax64);
+  EXPECT_EQ(SaturatingCastToInt64(-kInf), kMin64);
+  EXPECT_EQ(SaturatingCastToInt64(1e300), kMax64);
+  EXPECT_EQ(SaturatingCastToInt64(-1e300), kMin64);
+  EXPECT_EQ(SaturatingCastToInt64(std::nan("")), 0);
+  EXPECT_EQ(SaturatingCastToInt64(-9223372036854775808.0), kMin64);
 }
 
 TEST(SafeMathOverflowTest, Int32Boundaries) {

@@ -8,6 +8,7 @@
 #include "util/structured_log.h"
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,9 @@
 #include "json_validator.h"
 #include "search/similarity_join.h"
 #include "search/similarity_search.h"
+#include "search/tree_database.h"
+#include "ted/cost_model.h"
+#include "util/flight_recorder.h"
 #include "util/metrics.h"
 
 namespace treesim {
@@ -144,12 +148,15 @@ TEST(StructuredLogTest, QueryPathsEmitValidRecords) {
   (void)engine.BatchKnn({query, db->tree(1)}, 2);
   SimilarityJoin join(db.get(), std::make_unique<BiBranchFilter>());
   (void)join.SelfJoin(1);
+  (void)engine.RangeWeighted(query, 3.0, UnitCostModel::Get());
+  (void)engine.KnnWeighted(query, 4, UnitCostModel::Get());
   log.Close();
 
   const std::vector<std::string> lines = ReadLines(path);
-  // range + knn + (2 knn + 1 summary from BatchKnn) + self_join = 6.
-  ASSERT_EQ(lines.size(), 6u);
-  EXPECT_EQ(log.records_written() - before, 6);
+  // range + knn + (2 knn + 1 summary from BatchKnn) + self_join
+  // + range_weighted + knn_weighted = 8.
+  ASSERT_EQ(lines.size(), 8u);
+  EXPECT_EQ(log.records_written() - before, 8);
   for (const std::string& line : lines) ValidateQueryRecord(line);
 
   // Event-specific keys and monotonically increasing query ids.
@@ -181,6 +188,48 @@ TEST(StructuredLogTest, QueryPathsEmitValidRecords) {
   EXPECT_EQ(member0_doc.Find("query_id")->number_value, base + 3);
   EXPECT_EQ(member1_doc.Find("query_id")->number_value, base + 4);
   EXPECT_EQ(join_doc.Find("query_id")->number_value, base + 5);
+  JsonValue range_weighted_doc, knn_weighted_doc;
+  ASSERT_TRUE(ParseJson(lines[6], &range_weighted_doc));
+  ASSERT_TRUE(ParseJson(lines[7], &knn_weighted_doc));
+  EXPECT_EQ(range_weighted_doc.Find("event")->string_value, "range_weighted");
+  EXPECT_TRUE(range_weighted_doc.Has("tau"));
+  EXPECT_EQ(range_weighted_doc.Find("query_id")->number_value, base + 6);
+  EXPECT_EQ(knn_weighted_doc.Find("event")->string_value, "knn_weighted");
+  EXPECT_TRUE(knn_weighted_doc.Has("k"));
+  EXPECT_TRUE(knn_weighted_doc.Has("bound_gap_mean"));
+  EXPECT_EQ(knn_weighted_doc.Find("query_id")->number_value, base + 7);
+  std::remove(path.c_str());
+}
+
+TEST(StructuredLogTest, EmptyDatabaseQueriesRecordOnce) {
+  // Every entry point records exactly once, also on an empty database:
+  // one query-log record, one flight record, one latency-window sample.
+  const std::string path = TempLogPath("empty");
+  StructuredLog& log = StructuredLog::Global();
+  ASSERT_TRUE(log.OpenFile(path).ok());
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  LatencyWindow& knn_window = registry.GetWindow("search.knn.latency_window");
+  LatencyWindow& knn_weighted_window =
+      registry.GetWindow("search.knn_weighted.latency_window");
+  const int64_t knn_before = knn_window.total_recorded();
+  const int64_t knn_weighted_before = knn_weighted_window.total_recorded();
+  const int64_t flights_before = FlightRecorder::Global().total_recorded();
+
+  TreeDatabase empty(std::make_shared<LabelDictionary>());
+  SimilaritySearch engine(&empty, std::make_unique<BiBranchFilter>());
+  const Tree query = MakeSyntheticDatabase(1, 6, 17)->tree(0);
+  EXPECT_TRUE(engine.Knn(query, 3).neighbors.empty());
+  EXPECT_TRUE(engine.KnnWeighted(query, 3, UnitCostModel::Get())
+                  .neighbors.empty());
+  EXPECT_TRUE(engine.Range(query, 2).matches.empty());
+  log.Close();
+
+  const std::vector<std::string> lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), 3u);
+  for (const std::string& line : lines) ValidateQueryRecord(line);
+  EXPECT_EQ(knn_window.total_recorded() - knn_before, 1);
+  EXPECT_EQ(knn_weighted_window.total_recorded() - knn_weighted_before, 1);
+  EXPECT_EQ(FlightRecorder::Global().total_recorded() - flights_before, 3);
   std::remove(path.c_str());
 }
 

@@ -1,13 +1,19 @@
 // The Section 2.1 extension end-to-end: filter-and-refine search under a
 // general cost model, with filter bounds scaled by the minimum operation
 // cost. Exactness is verified against a weighted sequential scan.
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "filters/bibranch_filter.h"
 #include "filters/histogram_filter.h"
 #include "search/similarity_search.h"
 #include "test_util.h"
+#include "util/flight_recorder.h"
+#include "util/metrics.h"
 
 namespace treesim {
 namespace {
@@ -104,6 +110,34 @@ TEST_F(WeightedSearchTest, UnitCostsReduceToIntegerEngine) {
     EXPECT_EQ(unit_knn.neighbors[i].first, weighted_knn.neighbors[i].first);
     EXPECT_DOUBLE_EQ(static_cast<double>(unit_knn.neighbors[i].second),
                      weighted_knn.neighbors[i].second);
+  }
+}
+
+TEST_F(WeightedSearchTest, NonFiniteTauIsExactAndRecordsADefinedParam) {
+  // +inf admits every tree and NaN none; both are legal thresholds, and
+  // the flight record's integer `param` takes them by a saturating rule
+  // (+inf -> INT64_MAX, NaN -> 0), never by an undefined cast.
+  SimilaritySearch bibranch(db_.get(), std::make_unique<BiBranchFilter>());
+  const Tree& query = db_->tree(3);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, int64_t> cases[] = {
+      {inf, std::numeric_limits<int64_t>::max()}, {std::nan(""), 0}};
+  for (const auto& [tau, param] : cases) {
+    const WeightedRangeResult expected =
+        sequential_->RangeWeighted(query, tau, costs_);
+    const WeightedRangeResult got = bibranch.RangeWeighted(query, tau, costs_);
+    EXPECT_EQ(got.matches, expected.matches) << "tau=" << tau;
+    EXPECT_EQ(expected.matches.size(),
+              std::isnan(tau) ? 0u : static_cast<size_t>(db_->size()));
+    if (kMetricsEnabled) {
+      const std::vector<FlightRecord> records =
+          FlightRecorder::Global().Snapshot();
+      ASSERT_FALSE(records.empty());
+      EXPECT_STREQ(records.back().op, "range_weighted");
+      EXPECT_EQ(records.back().param, param) << "tau=" << tau;
+      EXPECT_EQ(records.back().results,
+                static_cast<int64_t>(got.matches.size()));
+    }
   }
 }
 

@@ -570,9 +570,12 @@ def check_blocking_under_lock(db: facts.FactDB) -> list[Finding]:
 # ---------------------------------------------------------------------------
 
 # Query-path entry points by basename; everything they reach is hot.
+# RunRange/RunKnn (search/similarity_search.cc) are the one range pipeline
+# and the one k-NN sweep behind the unit and weighted entry points.
 HOT_ENTRY_BASENAMES = {
     "Range", "Knn", "BatchKnn", "RangeWeighted", "KnnWeighted",
-    "Join", "SelfJoin", "JoinImpl", "ComputePairwiseDistances",
+    "RunRange", "RunKnn", "Join", "SelfJoin", "JoinImpl",
+    "ComputePairwiseDistances",
 }
 
 # Files whose functions are never part of the measured hot path.

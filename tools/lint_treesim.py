@@ -39,6 +39,13 @@ Checks, over ``src/`` (and headers under ``fuzz/`` if any appear):
               to the binaries: ``bench/`` and ``tools/`` are exempt, as is
               the rest of ``src/`` (util/logging.h itself, parser error
               paths, ...).
+  querytail   The per-query telemetry tail — ``ScopedQueryContext``,
+              ``FlightRecorder::Global``, ``TREESIM_WINDOW_RECORD`` and
+              ``StructuredLog::Global`` — appears inside ``src/search/``
+              only in ``query_scope.{h,cc}``. Every search and join entry
+              point opens one QueryScope, which records the query exactly
+              once on every return path; a hand-copied tail drifts (it
+              was how weighted queries lost their query-log record).
   hotalloc    No ``new``, ``make_unique``, or ``std::function`` in the
               headers under ``src/core/`` and ``src/ted/`` — these are the
               innermost kernels of the distance computation, inlined into
@@ -268,6 +275,25 @@ class Linter:
                             "(util/structured_log.h) — printing is the "
                             "binaries' job")
 
+    # ---- querytail ------------------------------------------------------
+
+    QUERY_TAIL_RE = re.compile(
+        r"\bScopedQueryContext\b|\bTREESIM_WINDOW_RECORD\b"
+        r"|\b(?:FlightRecorder|StructuredLog)\s*::\s*Global\b")
+    QUERY_SCOPE_FILES = ("query_scope.h", "query_scope.cc")
+
+    def check_query_tail(self, path: pathlib.Path, lines: list[str]) -> None:
+        if (not path.is_relative_to(SRC_ROOT / "search")
+                or path.name in self.QUERY_SCOPE_FILES):
+            return
+        for i, raw in enumerate(lines, start=1):
+            line = strip_comments_and_strings(raw)
+            if self.QUERY_TAIL_RE.search(line):
+                self.report(path, i, "querytail",
+                            "query context, flight record, latency window "
+                            "or query log outside search/query_scope.{h,cc}; "
+                            "open a QueryScope instead")
+
     # ---- rawwait --------------------------------------------------------
 
     RAW_WAIT_RE = re.compile(
@@ -484,6 +510,7 @@ class Linter:
             self.check_sigsafe(path, lines)
         for path, lines in {**headers, **sources}.items():
             self.check_raw_log(path, lines)
+            self.check_query_tail(path, lines)
             self.check_raw_wait(path, lines)
             self.check_bad_move(path, lines)
 
@@ -558,6 +585,18 @@ def self_test() -> int:
             "void Report() {\n"
             "  printf(\"done\\n\");\n"
             "}\n"),
+        # querytail: a hand-copied query tail; the same names are fine in
+        # a comment and inside the QueryScope files themselves.
+        "src/search/bad_tail.cc": (
+            "void Finish(const FlightRecord& rec) {\n"
+            "  // no ScopedQueryContext here, QueryScope owns it\n"
+            "  FlightRecorder::Global().Record(rec);\n"
+            "}\n"),
+        "src/search/query_scope.cc": (
+            "QueryScope::~QueryScope() {\n"
+            "  FlightRecorder::Global().Record(rec);\n"
+            "  StructuredLog::Global().Write(log);\n"
+            "}\n"),
         "src/bad_using.h": (
             "#ifndef TREESIM_BAD_USING_H_\n"
             "#define TREESIM_BAD_USING_H_\n"
@@ -610,8 +649,8 @@ def self_test() -> int:
             "  Sink(std::move(rows));\n"
             "}\n"),
     }
-    expected = {"rawwait": 4, "rawsync": 1, "rawlog": 1, "using": 1,
-                "hotalloc": 3, "badmove": 2, "sigsafe": 3}
+    expected = {"rawwait": 4, "rawsync": 1, "rawlog": 1, "querytail": 1,
+                "using": 1, "hotalloc": 3, "badmove": 2, "sigsafe": 3}
 
     try:
         with tempfile.TemporaryDirectory(prefix="lint_selftest_") as tmp:
