@@ -1,15 +1,12 @@
 #include "filters/bibranch_filter.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "filters/filter_index.h"
 #include "util/hot.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/random.h"
 #include "util/safe_math.h"
 #include "util/trace.h"
 
@@ -25,16 +22,6 @@ class BiBranchQueryContext final : public FilterQueryContext {
  private:
   BranchProfile profile_;
 };
-
-/// Unit-cost distances are integral, so testing at floor(tau) is exact.
-/// Negative and NaN thresholds admit nothing (-1); huge ones saturate.
-int IntegralTau(double tau) {
-  if (!(tau >= 0)) return -1;
-  if (tau >= std::numeric_limits<int>::max()) {
-    return std::numeric_limits<int>::max();
-  }
-  return static_cast<int>(std::floor(tau));
-}
 
 }  // namespace
 
@@ -52,12 +39,8 @@ std::string BiBranchFilter::name() const {
 void BiBranchFilter::Build(const std::vector<Tree>& trees) {
   TREESIM_TRACE_SPAN("filter.bibranch.build");
   TREESIM_CHECK(profiles_.empty()) << "Build() called twice";
-  index_.AddAll(trees, options_.build_pool);
+  index_.AddAll(trees);
   profiles_ = index_.BuildProfiles();
-  if (options_.use_vptree) {
-    Rng rng(0x5eed);  // fixed seed: deterministic index shape
-    vptree_ = std::make_unique<VpTree>(&profiles_, rng);
-  }
 }
 
 std::unique_ptr<FilterQueryContext> TREESIM_HOT BiBranchFilter::PrepareQuery(
@@ -114,14 +97,7 @@ std::vector<int> TREESIM_HOT BiBranchFilter::RangeCandidates(
   if (itau >= 0) {
     const int64_t radius =
         CheckedMul<int64_t>(index_.branch_dict().edit_distance_factor(), itau);
-    std::vector<int> gated;
-    if (vptree_ != nullptr) {
-      int64_t calls = 0;
-      gated = vptree_->RangeSearch(q.profile(), radius, &calls);
-      vptree_distance_calls_.fetch_add(calls, std::memory_order_relaxed);
-    } else {
-      gated = PostingListGate(q.profile(), radius);
-    }
+    std::vector<int> gated = PostingListGate(q.profile(), radius);
     TREESIM_COUNTER_ADD("filter.bibranch.bdist_candidates",
                         static_cast<int64_t>(gated.size()));
     if (options_.positional) {

@@ -1,7 +1,6 @@
 #ifndef TREESIM_FILTERS_BIBRANCH_FILTER_H_
 #define TREESIM_FILTERS_BIBRANCH_FILTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -9,9 +8,7 @@
 
 #include "core/inverted_file.h"
 #include "core/positional.h"
-#include "core/vptree.h"
 #include "filters/filter_index.h"
-#include "util/thread_pool.h"
 
 namespace treesim {
 
@@ -31,15 +28,6 @@ class BiBranchFilter final : public FilterIndex {
     bool positional = true;
     /// How per-branch positional matchings are computed; see MatchingMode.
     MatchingMode matching = MatchingMode::kAuto;
-    /// Index the branch vectors in a VP-tree (BDist satisfies the triangle
-    /// inequality) so RangeCandidates takes its BDist gate from a metric
-    /// ball instead of the posting-list pass. Identical results; pays
-    /// O(N log N) BDist evaluations at Build().
-    bool use_vptree = false;
-    /// Pool Build() fans the inverted-file construction out over (borrowed;
-    /// must outlive Build()). Index contents are byte-identical to a
-    /// sequential build. nullptr builds sequentially.
-    ThreadPool* build_pool = nullptr;
   };
 
   /// Default options: q = 2, positional.
@@ -59,12 +47,11 @@ class BiBranchFilter final : public FilterIndex {
   /// One pass instead of a MayQualify probe per tree. Every tree that can
   /// qualify has BDist <= factor * tau (PosBDist(pr) >= BDist for every
   /// pr, and Theorem 3.2/3.3 for the plain filter), so the pass first keeps
-  /// those trees — read off the VP-tree ball when use_vptree is on, else
-  /// from BDist = |Tq| + |Ti| - 2 * sum(min(count)) summed over the query's
-  /// posting lists — and runs the positional test (RangeFilterPasses, size
-  /// test first) only on those. The result equals the MayQualify scan; the
-  /// checked/passed counters are published once per call with the scan's
-  /// totals.
+  /// those trees — BDist = |Tq| + |Ti| - 2 * sum(min(count)), summed over
+  /// the query's posting lists — and runs the positional test
+  /// (RangeFilterPasses, size test first) only on those. The result equals
+  /// the MayQualify scan; the checked/passed counters are published once
+  /// per call with the scan's totals.
   std::vector<int> RangeCandidates(const FilterQueryContext& ctx,
                                    double tau) const override;
 
@@ -73,12 +60,6 @@ class BiBranchFilter final : public FilterIndex {
 
   /// Database profiles, indexed by tree id (for inspection/tests).
   const std::vector<BranchProfile>& profiles() const { return profiles_; }
-
-  /// Cumulative BDist evaluations spent inside VP-tree range searches
-  /// (for benchmarking sublinearity; 0 when use_vptree is off).
-  int64_t vptree_distance_calls() const {
-    return vptree_distance_calls_.load(std::memory_order_relaxed);
-  }
 
  private:
   /// Trees with BDist(query, tree) <= `radius`, ascending, from one pass
@@ -89,12 +70,6 @@ class BiBranchFilter final : public FilterIndex {
   Options options_;
   InvertedFileIndex index_;
   std::vector<BranchProfile> profiles_;
-  std::unique_ptr<VpTree> vptree_;
-  /// Probe accounting mutated from const query paths; atomic because range
-  /// probes may run concurrently from the parallel search/join layers (the
-  /// only shared mutable state a built filter owns — everything else is
-  /// read-only after Build()).
-  mutable std::atomic<int64_t> vptree_distance_calls_{0};
 };
 
 }  // namespace treesim

@@ -1,6 +1,8 @@
 #ifndef TREESIM_FILTERS_FILTER_INDEX_H_
 #define TREESIM_FILTERS_FILTER_INDEX_H_
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,6 +10,18 @@
 #include "tree/tree.h"
 
 namespace treesim {
+
+/// The integer threshold a unit-cost filter tests against: unit-cost
+/// distances are integral, so testing at floor(tau) is exact. Negative and
+/// NaN thresholds admit nothing (-1); huge ones and +inf saturate at
+/// INT_MAX, where a plain cast would be undefined.
+inline int IntegralTau(double tau) {
+  if (!(tau >= 0)) return -1;
+  if (tau >= std::numeric_limits<int>::max()) {
+    return std::numeric_limits<int>::max();
+  }
+  return static_cast<int>(std::floor(tau));
+}
 
 /// Query-side state a FilterIndex derives once per query tree (e.g. the
 /// query's branch profile) and reuses against every database tree.
@@ -60,8 +74,8 @@ class FilterIndex {
   /// ascending. Range queries and joins take their candidates only from
   /// here. The default probes MayQualify once per tree; filters override it
   /// when they can produce the same set without a per-tree probe (the
-  /// BiBranch filter reads BDist off its posting lists or a VP-tree ball
-  /// and runs the positional test only on what that keeps). Candidates are
+  /// BiBranch filter reads BDist off its posting lists and runs the
+  /// positional test only on what that keeps). Candidates are
   /// refined with the exact distance either way, so soundness is about
   /// completeness of this set. Const and safe to call concurrently.
   virtual std::vector<int> RangeCandidates(const FilterQueryContext& ctx,

@@ -1,7 +1,6 @@
 #include "filters/sequence_filter.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "filters/filter_index.h"
@@ -79,7 +78,7 @@ double TREESIM_HOT SequenceFilter::LowerBound(const FilterQueryContext& ctx,
 
 bool TREESIM_HOT SequenceFilter::MayQualify(const FilterQueryContext& ctx,
                                             int tree_id, double tau) const {
-  const int itau = static_cast<int>(std::floor(tau));
+  const int itau = IntegralTau(tau);
   if (itau < 0) return false;
   TREESIM_COUNTER_INC("filter.sequence.checked");
   bool pass;
@@ -88,8 +87,12 @@ bool TREESIM_HOT SequenceFilter::MayQualify(const FilterQueryContext& ctx,
     const TreeSequences& q =
         static_cast<const SequenceQueryContext&>(ctx).sequences();
     const TreeSequences& data = sequences_[static_cast<size_t>(tree_id)];
-    pass = StringEditDistanceBounded(q.pre, data.pre, itau) <= itau &&
-           StringEditDistanceBounded(q.post, data.post, itau) <= itau;
+    // SED never exceeds the longer sequence, so a larger limit buys nothing
+    // and would overflow the kernel's limit + 1 at INT_MAX.
+    const int limit = static_cast<int>(std::min(
+        static_cast<size_t>(itau), std::max(q.pre.size(), data.pre.size())));
+    pass = StringEditDistanceBounded(q.pre, data.pre, limit) <= limit &&
+           StringEditDistanceBounded(q.post, data.post, limit) <= limit;
   } else {
     pass = LowerBound(ctx, tree_id) <= tau;
   }

@@ -103,11 +103,6 @@ class StructuredLog {
     return threshold > 0 && total_micros >= threshold;
   }
 
-  /// Monotonic id shared by every logged record of this process.
-  int64_t NextQueryId() {
-    return next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Appends the record as one line. Thread-safe; no-op while disabled.
   void Write(const LogRecord& record);
 
@@ -121,7 +116,6 @@ class StructuredLog {
 
   std::atomic<bool> enabled_{false};
   std::atomic<int64_t> slow_query_micros_{0};
-  std::atomic<int64_t> next_query_id_{0};
   std::atomic<int64_t> records_written_{0};
   mutable Mutex mu_ TREESIM_LOCK_RANK(50);
   std::FILE* file_ TREESIM_GUARDED_BY(mu_) = nullptr;
@@ -146,7 +140,6 @@ class StructuredLog {
   int64_t slow_query_micros() const { return 0; }
   bool ShouldLog(int64_t) const { return false; }
   bool IsSlow(int64_t) const { return false; }
-  int64_t NextQueryId() { return 0; }
   void Write(const LogRecord&) {}
   int64_t records_written() const { return 0; }
 

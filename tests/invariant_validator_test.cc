@@ -13,7 +13,6 @@
 #include "core/binary_tree.h"
 #include "core/branch_profile.h"
 #include "core/inverted_file.h"
-#include "core/vptree.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "tree/tree.h"
@@ -41,9 +40,6 @@ struct InvariantTestPeer {
   static std::vector<int>& TreeSizes(InvertedFileIndex& index) {
     return index.tree_sizes_;
   }
-  static size_t NodeCount(const VpTree& v) { return v.nodes_.size(); }
-  static bool IsLeaf(const VpTree& v, size_t i) { return v.nodes_[i].is_leaf; }
-  static int64_t& Radius(VpTree& v, size_t i) { return v.nodes_[i].radius; }
 };
 
 namespace {
@@ -243,63 +239,6 @@ TEST(InvertedFileInvariantsDeathTest, CheckOkAbortsOnCorruptIndex) {
   index.Add(MakeTree("a{b}", labels));
   InvariantTestPeer::TreeSizes(index).front() = 0;
   EXPECT_DEATH(TREESIM_CHECK_OK(index.ValidateInvariants()), "CHECK failed");
-}
-
-class VpTreeInvariantsTest : public ::testing::Test {
- protected:
-  /// Indexes 40 random 12-node trees: enough profiles for internal nodes
-  /// (leaf buckets hold 8) and enough label spread for nonzero distances.
-  void BuildIndex() {
-    const auto labels = std::make_shared<LabelDictionary>();
-    const std::vector<LabelId> pool = MakeLabelPool(labels, 6);
-    Rng rng(20260805);
-    BranchDictionary dict(2);
-    for (int i = 0; i < 40; ++i) {
-      profiles_.push_back(
-          BranchProfile::FromTree(RandomTree(12, pool, labels, rng), dict));
-    }
-    vptree_ = std::make_unique<VpTree>(&profiles_, rng);
-  }
-
-  std::vector<BranchProfile> profiles_;
-  std::unique_ptr<VpTree> vptree_;
-};
-
-TEST_F(VpTreeInvariantsTest, ValidIndexPasses) {
-  BuildIndex();
-  EXPECT_TRUE(vptree_->ValidateInvariants().ok());
-}
-
-TEST_F(VpTreeInvariantsTest, BallContainmentViolationIsCaught) {
-  BuildIndex();
-  ASSERT_GT(vptree_->Depth(), 1) << "need an internal node to corrupt";
-  // A negative radius makes every inside-subtree profile violate the ball:
-  // BDist >= 0 > radius.
-  bool corrupted = false;
-  for (size_t i = 0; i < InvariantTestPeer::NodeCount(*vptree_); ++i) {
-    if (!InvariantTestPeer::IsLeaf(*vptree_, i)) {
-      InvariantTestPeer::Radius(*vptree_, i) = -1;
-      corrupted = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(corrupted);
-  const Status s = vptree_->ValidateInvariants();
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("ball"), std::string::npos) << s;
-}
-
-TEST_F(VpTreeInvariantsTest, DeathOnCorruptBall) {
-  BuildIndex();
-  ASSERT_GT(vptree_->Depth(), 1);
-  for (size_t i = 0; i < InvariantTestPeer::NodeCount(*vptree_); ++i) {
-    if (!InvariantTestPeer::IsLeaf(*vptree_, i)) {
-      InvariantTestPeer::Radius(*vptree_, i) = -1;
-      break;
-    }
-  }
-  EXPECT_DEATH(TREESIM_CHECK_OK(vptree_->ValidateInvariants()),
-               "CHECK failed");
 }
 
 TEST(CheckMacrosTest, CheckOpPrintsBothOperandValues) {

@@ -76,31 +76,6 @@ TEST(ParallelDeterminismTest, InvertedFileBuildIdentical) {
   EXPECT_TRUE(parallel.ValidateInvariants().ok());
 }
 
-TEST(ParallelDeterminismTest, FilterBuildWithPoolIdentical) {
-  auto db = SeededDb(50, 2029);
-  BiBranchFilter serial;
-  serial.Build(db->trees());
-
-  ThreadPool pool(kWorkers);
-  BiBranchFilter::Options options;
-  options.build_pool = &pool;
-  BiBranchFilter parallel(options);
-  parallel.Build(db->trees());
-
-  ASSERT_EQ(parallel.profiles().size(), serial.profiles().size());
-  for (size_t i = 0; i < serial.profiles().size(); ++i) {
-    const BranchProfile& sp = serial.profiles()[i];
-    const BranchProfile& pp = parallel.profiles()[i];
-    EXPECT_EQ(pp.tree_size, sp.tree_size);
-    ASSERT_EQ(pp.entries.size(), sp.entries.size()) << "tree " << i;
-    for (size_t e = 0; e < sp.entries.size(); ++e) {
-      EXPECT_EQ(pp.entries[e].branch, sp.entries[e].branch) << "tree " << i;
-      EXPECT_EQ(pp.entries[e].occurrences, sp.entries[e].occurrences);
-      EXPECT_EQ(pp.entries[e].posts_sorted, sp.entries[e].posts_sorted);
-    }
-  }
-}
-
 TEST(ParallelDeterminismTest, RangeQueryIdentical) {
   auto db = SeededDb(80, 2031);
   ThreadPool pool(kWorkers);

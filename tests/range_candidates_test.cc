@@ -1,7 +1,7 @@
 // RangeCandidates is where range queries and joins get their candidate
 // sets, so it must return exactly the ids a per-tree MayQualify scan keeps,
-// whichever way the BiBranch filter computes them: a VP-tree ball or one
-// pass over the query's posting lists, then the positional test.
+// although the BiBranch filter computes them differently: one pass over the
+// query's posting lists, then the positional test on what BDist keeps.
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,6 +68,22 @@ Corpus SyntheticCorpus() {
   return corpus;
 }
 
+/// BDist is a pseudo-metric: the Fig. 4 pair has identical branch multisets
+/// (BDist 0, TED > 0) and exact duplicates sit at BDist 0 too, so the
+/// posting-list gate must keep all of them at tau 0.
+Corpus TwinCorpus() {
+  Corpus corpus{"twin", std::make_shared<LabelDictionary>(), {}, {}};
+  for (int i = 0; i < 10; ++i) {
+    corpus.trees.push_back(MakeTree("r{a{b} b{a}}", corpus.labels));
+  }
+  corpus.trees.push_back(MakeTree("r{a{b{a}} b}", corpus.labels));
+  corpus.trees.push_back(MakeTree("x{y z}", corpus.labels));
+  corpus.queries.push_back(corpus.trees.front());
+  corpus.queries.push_back(corpus.trees[10]);
+  AddQueries(corpus, 89);
+  return corpus;
+}
+
 std::vector<int> MayQualifyScan(const BiBranchFilter& filter,
                                 const FilterQueryContext& ctx, double tau) {
   std::vector<int> ids;
@@ -78,41 +94,52 @@ std::vector<int> MayQualifyScan(const BiBranchFilter& filter,
 }
 
 TEST(RangeCandidatesTest, EqualsMayQualifyScan) {
-  for (const Corpus& corpus : {DblpCorpus(), SyntheticCorpus()}) {
+  for (const Corpus& corpus : {DblpCorpus(), SyntheticCorpus(), TwinCorpus()}) {
     for (const int q : {2, 3}) {
       for (const bool positional : {true, false}) {
-        for (const bool use_vptree : {false, true}) {
-          BiBranchFilter::Options options;
-          options.q = q;
-          options.positional = positional;
-          options.use_vptree = use_vptree;
-          BiBranchFilter filter(options);
-          filter.Build(corpus.trees);
-          const size_t indexed_branches =
-              filter.inverted_file().branch_dict().size();
-          int nonempty = 0;
-          for (size_t qi = 0; qi < corpus.queries.size(); ++qi) {
-            const Tree& query = corpus.queries[qi];
-            const std::unique_ptr<FilterQueryContext> ctx =
-                filter.PrepareQuery(query);
-            for (const double tau :
-                 {-1.0, 0.0, 1.0, 2.0, 2.5, 4.0, 6.0, 10.0,
-                  static_cast<double>(query.size())}) {
-              const std::vector<int> batch = filter.RangeCandidates(*ctx, tau);
-              EXPECT_EQ(batch, MayQualifyScan(filter, *ctx, tau))
-                  << corpus.name << " q=" << q << " positional=" << positional
-                  << " vptree=" << use_vptree << " query=" << qi
-                  << " tau=" << tau;
-              if (!batch.empty()) ++nonempty;
-            }
+        BiBranchFilter::Options options;
+        options.q = q;
+        options.positional = positional;
+        BiBranchFilter filter(options);
+        filter.Build(corpus.trees);
+        const size_t indexed_branches =
+            filter.inverted_file().branch_dict().size();
+        int nonempty = 0;
+        for (size_t qi = 0; qi < corpus.queries.size(); ++qi) {
+          const Tree& query = corpus.queries[qi];
+          const std::unique_ptr<FilterQueryContext> ctx =
+              filter.PrepareQuery(query);
+          for (const double tau : {-1.0, 0.0, 1.0, 2.0, 2.5, 4.0, 6.0, 10.0,
+                                   static_cast<double>(query.size())}) {
+            const std::vector<int> batch = filter.RangeCandidates(*ctx, tau);
+            EXPECT_EQ(batch, MayQualifyScan(filter, *ctx, tau))
+                << corpus.name << " q=" << q << " positional=" << positional
+                << " query=" << qi << " tau=" << tau;
+            if (!batch.empty()) ++nonempty;
           }
-          // The queries interned branches the index has no postings for.
-          EXPECT_GT(filter.inverted_file().branch_dict().size(),
-                    indexed_branches);
-          EXPECT_GT(nonempty, 0) << corpus.name;
         }
+        // The queries interned branches the index has no postings for.
+        EXPECT_GT(filter.inverted_file().branch_dict().size(),
+                  indexed_branches);
+        EXPECT_GT(nonempty, 0) << corpus.name;
       }
     }
+  }
+}
+
+TEST(RangeCandidatesTest, KeepsEveryBDistZeroTreeAtTauZero) {
+  // The plain filter at q = 2 keeps exactly the trees at BDist 0: the ten
+  // duplicates and the Fig. 4 twin, never the unrelated tree.
+  const Corpus corpus = TwinCorpus();
+  BiBranchFilter::Options options;
+  options.positional = false;
+  BiBranchFilter filter(options);
+  filter.Build(corpus.trees);
+  const std::vector<int> all_twins = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  for (const int qi : {0, 1}) {
+    const std::unique_ptr<FilterQueryContext> ctx =
+        filter.PrepareQuery(corpus.queries[static_cast<size_t>(qi)]);
+    EXPECT_EQ(filter.RangeCandidates(*ctx, 0.0), all_twins) << "query=" << qi;
   }
 }
 
@@ -124,32 +151,29 @@ TEST(RangeCandidatesTest, PublishesTheScanCounterTotals) {
       MetricsRegistry::Global().GetCounter("filter.bibranch.passed");
   const Corpus corpus = SyntheticCorpus();
   for (const bool positional : {true, false}) {
-    for (const bool use_vptree : {false, true}) {
-      BiBranchFilter::Options options;
-      options.positional = positional;
-      options.use_vptree = use_vptree;
-      BiBranchFilter filter(options);
-      filter.Build(corpus.trees);
-      for (const Tree& query : corpus.queries) {
-        const std::unique_ptr<FilterQueryContext> ctx =
-            filter.PrepareQuery(query);
-        for (const double tau : {-1.0, 0.0, 3.0, 10.0}) {
-          const int64_t checked_before = checked.value();
-          const int64_t passed_before = passed.value();
-          const std::vector<int> scan = MayQualifyScan(filter, *ctx, tau);
-          const int64_t scan_checked = checked.value() - checked_before;
-          const int64_t scan_passed = passed.value() - passed_before;
-          EXPECT_EQ(scan_checked, filter.tree_count());
-          EXPECT_EQ(scan_passed, static_cast<int64_t>(scan.size()));
+    BiBranchFilter::Options options;
+    options.positional = positional;
+    BiBranchFilter filter(options);
+    filter.Build(corpus.trees);
+    for (const Tree& query : corpus.queries) {
+      const std::unique_ptr<FilterQueryContext> ctx =
+          filter.PrepareQuery(query);
+      for (const double tau : {-1.0, 0.0, 3.0, 10.0}) {
+        const int64_t checked_before = checked.value();
+        const int64_t passed_before = passed.value();
+        const std::vector<int> scan = MayQualifyScan(filter, *ctx, tau);
+        const int64_t scan_checked = checked.value() - checked_before;
+        const int64_t scan_passed = passed.value() - passed_before;
+        EXPECT_EQ(scan_checked, filter.tree_count());
+        EXPECT_EQ(scan_passed, static_cast<int64_t>(scan.size()));
 
-          const int64_t batch_checked_before = checked.value();
-          const int64_t batch_passed_before = passed.value();
-          filter.RangeCandidates(*ctx, tau);
-          EXPECT_EQ(checked.value() - batch_checked_before, scan_checked)
-              << "positional=" << positional << " tau=" << tau;
-          EXPECT_EQ(passed.value() - batch_passed_before, scan_passed)
-              << "positional=" << positional << " tau=" << tau;
-        }
+        const int64_t batch_checked_before = checked.value();
+        const int64_t batch_passed_before = passed.value();
+        filter.RangeCandidates(*ctx, tau);
+        EXPECT_EQ(checked.value() - batch_checked_before, scan_checked)
+            << "positional=" << positional << " tau=" << tau;
+        EXPECT_EQ(passed.value() - batch_passed_before, scan_passed)
+            << "positional=" << positional << " tau=" << tau;
       }
     }
   }

@@ -10,6 +10,7 @@
 #include "gtest/gtest.h"
 #include "filters/bibranch_filter.h"
 #include "filters/histogram_filter.h"
+#include "filters/sequence_filter.h"
 #include "search/similarity_search.h"
 #include "test_util.h"
 #include "util/flight_recorder.h"
@@ -137,6 +138,34 @@ TEST_F(WeightedSearchTest, NonFiniteTauIsExactAndRecordsADefinedParam) {
       EXPECT_EQ(records.back().param, param) << "tau=" << tau;
       EXPECT_EQ(records.back().results,
                 static_cast<int64_t>(got.matches.size()));
+    }
+  }
+}
+
+TEST_F(WeightedSearchTest, SequenceFilterIsExactAtEveryThreshold) {
+  // The sequence filter tests at an integer threshold; +inf and values past
+  // INT_MAX must saturate (every tree may qualify) and NaN/negative ones
+  // admit nothing, exactly as the sequential scan answers them.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto mode : {SequenceFilter::Options::Mode::kEditDistance,
+                          SequenceFilter::Options::Mode::kQGram}) {
+    SequenceFilter::Options options;
+    options.mode = mode;
+    SimilaritySearch sequence(db_.get(),
+                              std::make_unique<SequenceFilter>(options));
+    for (const int qi : {3, 17}) {
+      const Tree& query = db_->tree(qi);
+      for (const double tau : {inf, 3e9, std::nan(""), -1.0, 2.5}) {
+        const WeightedRangeResult expected =
+            sequential_->RangeWeighted(query, tau, UnitCostModel::Get());
+        const WeightedRangeResult got =
+            sequence.RangeWeighted(query, tau, UnitCostModel::Get());
+        EXPECT_EQ(got.matches, expected.matches)
+            << sequence.filter_name() << " query=" << qi << " tau=" << tau;
+        if (tau > 1e9) {
+          EXPECT_EQ(expected.matches.size(), static_cast<size_t>(db_->size()));
+        }
+      }
     }
   }
 }
