@@ -55,7 +55,7 @@ const NamedFilter kFilters[] = {
 };
 
 void RunDataset(const char* dataset_name, const TreeDatabase& db,
-                int queries, int tau, int k, BenchReport& report) {
+                int queries, int tau, int k) {
   std::printf("--- %s: %d trees, avg size %.1f | range tau=%d, %d-NN, "
               "%d queries ---\n",
               dataset_name, db.size(), db.AverageTreeSize(), tau, k, queries);
@@ -76,20 +76,6 @@ void RunDataset(const char* dataset_name, const TreeDatabase& db,
                 100.0 * range_total.AccessedFraction(),
                 100.0 * knn_total.AccessedFraction(),
                 range_total.TotalSeconds(), knn_total.TotalSeconds());
-    JsonObject stats;
-    stats.Raw("range", QueryStatsJson(range_total))
-        .Raw("knn", QueryStatsJson(knn_total));
-    report.AddPoint()
-        .Str("label", nf.label)
-        .Str("dataset", dataset_name)
-        .Int("queries", queries)
-        .Int("tau", tau)
-        .Int("k", k)
-        .Double("range_pct", 100.0 * range_total.AccessedFraction())
-        .Double("knn_pct", 100.0 * knn_total.AccessedFraction())
-        .Double("range_cpu_seconds", range_total.TotalSeconds())
-        .Double("knn_cpu_seconds", knn_total.TotalSeconds())
-        .Raw("stats", stats.Render());
   }
   std::printf("\n");
 }
@@ -100,8 +86,6 @@ int Main(int argc, char** argv) {
   if (!ApplyQueryLogFlags(common)) return 1;
   const int trees = common.trees;
   const int queries = common.queries;
-  BenchReport report("ablation_filters");
-  ReportCommonConfig(common, report);
   std::printf("=== Ablation: filter comparison (incl. related-work "
               "baselines) ===\n");
 
@@ -114,19 +98,19 @@ int Main(int argc, char** argv) {
     const int tau =
         static_cast<int>(db->EstimateAverageDistance(rng, 200) / 5);
     RunDataset("synthetic N{4,0.5}N{50,2}L8", *db, queries, tau,
-               std::max(1, trees / 400), report);
+               std::max(1, trees / 400));
   }
   {
     auto labels = std::make_shared<LabelDictionary>();
     DblpGenerator gen(DblpParams{}, labels, common.seed);
     auto db = MakeDatabase(labels, gen.Generate(trees));
     RunDataset("DBLP-like", *db, queries, /*tau=*/2,
-               std::max(1, trees / 400), report);
+               std::max(1, trees / 400));
   }
   std::printf("expected: positional BiBranch tightest overall; SeqED tight "
               "but with by far the largest filter CPU (quadratic per pair); "
               "SeqQGram cheap but loose\n\n");
-  return report.WriteIfRequested(common.json_path) ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -23,9 +23,6 @@ int Main(int argc, char** argv) {
   const int trees = common.trees;
   const int queries = common.queries;
   const int k = static_cast<int>(flags.GetInt("k", 5));
-  BenchReport report("ablation_histogram_budget");
-  ReportCommonConfig(common, report);
-  report.config().Int("k", k);
   std::printf("=== Ablation: histogram filter space budget (DBLP-like, "
               "%d-NN) ===\n",
               k);
@@ -52,13 +49,6 @@ int Main(int argc, char** argv) {
     }
     std::printf("  %-28s accessed%%=%-8.3f\n", label,
                 100.0 * total.AccessedFraction());
-    report.AddPoint()
-        .Str("label", label)
-        .Int("queries", queries)
-        .Int("k", k)
-        .Double("accessed_pct", 100.0 * total.AccessedFraction())
-        .Double("cpu_seconds", total.TotalSeconds())
-        .Raw("stats", QueryStatsJson(total));
   };
 
   for (const int buckets : {4, 8, 16, 32, 64, 0}) {
@@ -79,7 +69,7 @@ int Main(int argc, char** argv) {
   run("BiBranch(2) positional", std::make_unique<BiBranchFilter>());
   std::printf("expected: Histo strengthens with budget; BiBranch beats the "
               "equal-space configuration the paper's comparison uses\n\n");
-  return report.WriteIfRequested(common.json_path) ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

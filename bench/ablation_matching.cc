@@ -34,22 +34,7 @@ std::unique_ptr<TreeDatabase> BushyDataset(int trees, uint64_t seed) {
   return MakeDatabase(labels, gen.GenerateDataset(trees));
 }
 
-void ReportAblationPoint(const char* group, const std::string& label,
-                         const char* dataset, int queries, int tau,
-                         const QueryStats& total, BenchReport& report) {
-  report.AddPoint()
-      .Str("label", group + (": " + label))
-      .Str("dataset", dataset)
-      .Int("queries", queries)
-      .Int("tau", tau)
-      .Double("accessed_pct", 100.0 * total.AccessedFraction())
-      .Double("filter_cpu_seconds", total.filter_seconds)
-      .Double("cpu_seconds", total.TotalSeconds())
-      .Raw("stats", QueryStatsJson(total));
-}
-
-void RunMatchingModes(const TreeDatabase& db, int queries, int tau,
-                      BenchReport& report) {
+void RunMatchingModes(const TreeDatabase& db, int queries, int tau) {
   std::printf("matching-mode ablation (range tau=%d):\n", tau);
   struct Mode {
     const char* label;
@@ -72,13 +57,11 @@ void RunMatchingModes(const TreeDatabase& db, int queries, int tau,
                 "totalCPU=%-8.4fs\n",
                 m.label, 100.0 * total.AccessedFraction(),
                 total.filter_seconds, total.TotalSeconds());
-    ReportAblationPoint("matching", m.label, "bushy", queries, tau, total,
-                        report);
   }
 }
 
 void RunQSweep(const char* name, const TreeDatabase& db, int queries,
-               int tau, BenchReport& report) {
+               int tau) {
   std::printf("q sweep on %s data (range tau=%d):\n", name, tau);
   for (const int q : {2, 3, 4}) {
     BiBranchFilter::Options o;
@@ -95,8 +78,6 @@ void RunQSweep(const char* name, const TreeDatabase& db, int queries,
                 "totalCPU=%-8.4fs\n",
                 q, 100.0 * total.AccessedFraction(), total.filter_seconds,
                 total.TotalSeconds());
-    ReportAblationPoint("q", "q=" + std::to_string(q), name, queries, tau,
-                        total, report);
   }
 }
 
@@ -106,8 +87,6 @@ int Main(int argc, char** argv) {
   if (!ApplyQueryLogFlags(common)) return 1;
   const int trees = common.trees;
   const int queries = common.queries;
-  BenchReport report("ablation_matching");
-  ReportCommonConfig(common, report);
   std::printf("=== Ablation: positional matching modes and branch level q "
               "===\n");
 
@@ -116,21 +95,21 @@ int Main(int argc, char** argv) {
     Rng rng(5);
     const int tau =
         static_cast<int>(bushy->EstimateAverageDistance(rng, 200) / 5);
-    RunMatchingModes(*bushy, queries, tau, report);
-    RunQSweep("bushy (fanout 4)", *bushy, queries, tau, report);
+    RunMatchingModes(*bushy, queries, tau);
+    RunQSweep("bushy (fanout 4)", *bushy, queries, tau);
   }
   auto deep = DeepDataset(trees, common.seed);
   {
     Rng rng(5);
     const int tau =
         static_cast<int>(deep->EstimateAverageDistance(rng, 200) / 5);
-    RunQSweep("deep (fanout 1.2)", *deep, queries, tau, report);
+    RunQSweep("deep (fanout 1.2)", *deep, queries, tau);
   }
   std::printf("expected: exact vs greedy accessed%% nearly identical (auto "
               "= exact on small occurrence lists) with greedy cheapest; "
               "larger q never helps on bushy data but can on deep data "
               "where the height-q window stays informative\n\n");
-  return report.WriteIfRequested(common.json_path) ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -6,13 +6,13 @@
 // (BiBranch filter, histogram filter, sequential scan) and paper-style
 // table output. Each figure binary is a thin driver over RunWorkload().
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bench_report.h"
 #include "datagen/synthetic_generator.h"
 #include "filters/bibranch_filter.h"
 #include "filters/histogram_filter.h"
@@ -42,25 +42,18 @@ struct WorkloadResult {
   /// attribution beyond the per-query QueryStats totals. Empty under
   /// TREESIM_METRICS=OFF.
   MetricsSnapshot metrics;
-  /// Per-engine totals over the workload (summed QueryStats), for the
-  /// canonical JSON report.
-  QueryStats sequential_stats;
-  QueryStats bibranch_stats;
-  QueryStats histo_stats;
 };
 
 enum class WorkloadKind { kRange, kKnn };
 
-/// The flags every bench driver shares (satellite of the telemetry layer:
-/// one parser, nine drivers). Per-binary defaults come in as arguments;
-/// the telemetry flags (--json, --query-log, --slow-query-ms) are uniform.
+/// The flags every bench driver shares. Per-binary defaults come in as
+/// arguments; the telemetry flags (--query-log, --slow-query-ms) are
+/// uniform.
 struct CommonFlags {
   int trees = 0;
   int queries = 0;
   int threads = 0;
   uint64_t seed = 0;
-  /// `--json=FILE`: canonical BenchReport destination ("" = no report).
-  std::string json_path;
   /// `--query-log=FILE`: JSON-lines query log ("" = disabled).
   std::string query_log;
   /// `--slow-query-ms=N`: only log queries at least this slow (0 = all).
@@ -77,20 +70,9 @@ inline CommonFlags ParseCommonFlags(const FlagParser& flags,
   out.threads = static_cast<int>(flags.GetInt("threads", 1));
   out.seed = static_cast<uint64_t>(
       flags.GetInt("seed", static_cast<int64_t>(default_seed)));
-  out.json_path = flags.GetString("json", "");
   out.query_log = flags.GetString("query-log", "");
   out.slow_query_ms = flags.GetInt("slow-query-ms", 0);
   return out;
-}
-
-/// Records the shared flags under the report's "config" object.
-inline void ReportCommonConfig(const CommonFlags& f, BenchReport& report) {
-  report.config()
-      .Int("trees", f.trees)
-      .Int("queries", f.queries)
-      .Int("threads", f.threads)
-      .Int("seed", static_cast<int64_t>(f.seed))
-      .Int("slow_query_ms", f.slow_query_ms);
 }
 
 /// Opens the structured query log when requested. Returns false (with a
@@ -238,9 +220,6 @@ inline WorkloadResult RunWorkload(const TreeDatabase& db,
   out.histo_cpu = hi_total.TotalSeconds();
   out.sequential_cpu = seq_total.TotalSeconds();
   out.bibranch_filter_cpu = bb_total.filter_seconds;
-  out.sequential_stats = seq_total;
-  out.bibranch_stats = bb_total;
-  out.histo_stats = hi_total;
   out.metrics = MetricsRegistry::Global().Snapshot().DiffSince(metrics_before);
   return out;
 }
@@ -283,42 +262,6 @@ inline void PrintStageBreakdown(const MetricsSnapshot& d) {
         static_cast<long long>(d.counter("ted.bounded_keyroot_early_exits")),
         static_cast<long long>(d.counter("ted.bounded_mirror_strategy")));
   }
-}
-
-/// Canonical JSON encoding of one RunWorkload() sweep point — the unit the
-/// regression gate (tools/bench_compare.py) diffs. Keys here are the
-/// schema; renaming one orphans every recorded baseline.
-inline void ReportSweepPoint(const std::string& x_label, double x,
-                             WorkloadKind kind, int queries,
-                             const WorkloadResult& r, BenchReport& report) {
-  const double q = static_cast<double>(queries);
-  JsonObject stats;
-  stats.Raw("sequential", QueryStatsJson(r.sequential_stats))
-      .Raw("bibranch", QueryStatsJson(r.bibranch_stats))
-      .Raw("histo", QueryStatsJson(r.histo_stats));
-  report.AddPoint()
-      .Str("label", x_label)
-      .Double("x", x)
-      .Str("kind", kind == WorkloadKind::kRange ? "range" : "knn")
-      .Int("queries", queries)
-      .Int("tau", r.tau)
-      .Int("k", r.k)
-      .Double("avg_distance", r.avg_distance)
-      .Double("result_pct", r.result_pct)
-      .Double("bibranch_pct", r.bibranch_pct)
-      .Double("histo_pct", r.histo_pct)
-      .Double("sequential_cpu_seconds", r.sequential_cpu)
-      .Double("bibranch_cpu_seconds", r.bibranch_cpu)
-      .Double("histo_cpu_seconds", r.histo_cpu)
-      .Double("bibranch_filter_cpu_seconds", r.bibranch_filter_cpu)
-      .Double("sequential_queries_per_second",
-              r.sequential_cpu > 0 ? q / r.sequential_cpu : 0.0)
-      .Double("bibranch_queries_per_second",
-              r.bibranch_cpu > 0 ? q / r.bibranch_cpu : 0.0)
-      .Double("histo_queries_per_second",
-              r.histo_cpu > 0 ? q / r.histo_cpu : 0.0)
-      .Raw("stats", stats.Render())
-      .Raw("metrics", r.metrics.ToJson());
 }
 
 /// Prints the header every figure binary starts with.

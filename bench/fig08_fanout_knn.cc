@@ -15,8 +15,6 @@ int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   const CommonFlags common = ParseCommonFlags(flags);
   if (!ApplyQueryLogFlags(common)) return 1;
-  BenchReport report("fig08_fanout_knn");
-  ReportCommonConfig(common, report);
 
   PrintFigureHeader("Figure 8", "k-NN queries, sensitivity to fanout",
                     "k-NN, k = 0.25% of |D|, dataset N{f,0.5}N{50,2}L8D0.05, " +
@@ -41,12 +39,10 @@ int Main(int argc, char** argv) {
     config.k_fraction = 0.0025;
     const WorkloadResult r = RunWorkload(*db, config);
     PrintSweepRow("fanout", fanout, WorkloadKind::kKnn, r);
-    ReportSweepPoint("fanout", fanout, WorkloadKind::kKnn, config.queries, r,
-                     report);
   }
   std::printf("expected shape: BiBranch%% << Histo%% at every fanout; "
               "filter CPU is a small fraction of SeqCPU\n\n");
-  return report.WriteIfRequested(common.json_path) ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -27,8 +27,6 @@ int Main(int argc, char** argv) {
   // -1 = per-size default (DefaultQueries above).
   const CommonFlags common = ParseCommonFlags(flags, 2000, -1);
   if (!ApplyQueryLogFlags(common)) return 1;
-  BenchReport report("fig09_size_range");
-  ReportCommonConfig(common, report);
 
   PrintFigureHeader(
       "Figure 9", "range queries, sensitivity to tree size",
@@ -55,13 +53,11 @@ int Main(int argc, char** argv) {
     config.tau_fraction = 0.2;
     const WorkloadResult r = RunWorkload(*db, config);
     PrintSweepRow("size", size, WorkloadKind::kRange, r);
-    ReportSweepPoint("size", size, WorkloadKind::kRange, config.queries, r,
-                     report);
   }
   std::printf("expected shape: BiBranch%% ~= result%% for every size; "
               "Histo%%/BiBranch%% grows with size (up to ~70x at 125); "
               "SeqCPU grows quadratically\n\n");
-  return report.WriteIfRequested(common.json_path) ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

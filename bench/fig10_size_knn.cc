@@ -23,8 +23,6 @@ int Main(int argc, char** argv) {
   // -1 = per-size default (DefaultQueries above).
   const CommonFlags common = ParseCommonFlags(flags, 2000, -1);
   if (!ApplyQueryLogFlags(common)) return 1;
-  BenchReport report("fig10_size_knn");
-  ReportCommonConfig(common, report);
 
   PrintFigureHeader("Figure 10", "k-NN queries, sensitivity to tree size",
                     "k-NN, k = 0.25% of |D|, dataset N{4,0.5}N{s,2}L8D0.05, " +
@@ -50,12 +48,10 @@ int Main(int argc, char** argv) {
     config.k_fraction = 0.0025;
     const WorkloadResult r = RunWorkload(*db, config);
     PrintSweepRow("size", size, WorkloadKind::kKnn, r);
-    ReportSweepPoint("size", size, WorkloadKind::kKnn, config.queries, r,
-                     report);
   }
   std::printf("expected shape: BiBranch%% << Histo%% for every size; "
               "SeqCPU grows quadratically with tree size\n\n");
-  return report.WriteIfRequested(common.json_path) ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -12,8 +12,6 @@ int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   const CommonFlags common = ParseCommonFlags(flags, 2000, 8);
   if (!ApplyQueryLogFlags(common)) return 1;
-  BenchReport report("fig12_labels_knn");
-  ReportCommonConfig(common, report);
 
   PrintFigureHeader("Figure 12", "k-NN queries, sensitivity to label count",
                     "k-NN, k = 0.25% of |D|, dataset N{4,0.5}N{50,2}L{y}D0.05, " +
@@ -38,11 +36,9 @@ int Main(int argc, char** argv) {
     config.k_fraction = 0.0025;
     const WorkloadResult r = RunWorkload(*db, config);
     PrintSweepRow("labels", label_count, WorkloadKind::kKnn, r);
-    ReportSweepPoint("labels", label_count, WorkloadKind::kKnn,
-                     config.queries, r, report);
   }
   std::printf("expected shape: BiBranch%% << Histo%% at every label count\n\n");
-  return report.WriteIfRequested(common.json_path) ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -20,8 +20,6 @@ int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   const CommonFlags common = ParseCommonFlags(flags, 2000, 50);
   if (!ApplyQueryLogFlags(common)) return 1;
-  BenchReport report("fig13_dblp_knn");
-  ReportCommonConfig(common, report);
 
   PrintFigureHeader("Figure 13", "k-NN searches on DBLP(-like) data",
                     "k-NN, k in {5..20}, " + std::to_string(common.trees) +
@@ -51,11 +49,10 @@ int Main(int argc, char** argv) {
                 "Histo%%=%-8.3f BiBranchCPU=%-8.4fs SeqCPU=%-8.4fs\n",
                 k, r.avg_distance, r.result_pct, r.bibranch_pct, r.histo_pct,
                 r.bibranch_cpu, r.sequential_cpu);
-    ReportSweepPoint("k", k, WorkloadKind::kKnn, config.queries, r, report);
   }
   std::printf("expected shape: BiBranch%% 1-3x below Histo%%; BiBranchCPU "
               "around 1/6 of SeqCPU\n\n");
-  return report.WriteIfRequested(common.json_path) ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -9,11 +9,10 @@
 //     snapshot is empty, and the tracer never records. These are hard
 //     aborts, and the CI metrics-off job runs this binary to hold the
 //     zero-overhead claim.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
-#include "bench_report.h"
-#include "util/flags.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
 #include "util/trace.h"
@@ -36,10 +35,7 @@ double NanosPerOp(int64_t elapsed_micros) {
          static_cast<double>(kIterations);
 }
 
-int Main(int argc, char** argv) {
-  FlagParser flags(argc, argv);
-  BenchReport report("metrics_overhead");
-  report.config().Int("iterations", kIterations);
+int Main() {
   std::printf("=== metrics overhead (TREESIM_METRICS=%s) ===\n",
               kMetricsEnabled ? "ON" : "OFF");
 
@@ -96,23 +92,11 @@ int Main(int argc, char** argv) {
     std::printf("compile-out verified: empty registry, empty snapshot, "
                 "silent tracer\n");
   }
-
-  report.AddPoint()
-      .Str("label", "counter_increment")
-      .Double("ns_per_op", counter_ns);
-  report.AddPoint()
-      .Str("label", "histogram_record")
-      .Double("ns_per_op", histogram_ns);
-  report.AddPoint()
-      .Str("label", "disabled_trace_span")
-      .Double("ns_per_op", span_ns);
-  return report.WriteIfRequested(flags.GetString("json", "")) ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace treesim
 
-int main(int argc, char** argv) {
-  return treesim::bench::Main(argc, argv);
-}
+int main() { return treesim::bench::Main(); }

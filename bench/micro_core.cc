@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "benchmark/benchmark.h"
-#include "micro_report.h"
 #include "core/branch_profile.h"
 #include "core/inverted_file.h"
 #include "core/positional.h"
@@ -141,6 +140,4 @@ BENCHMARK(BM_OptimisticBoundGreedyVsExact)
 }  // namespace
 }  // namespace treesim
 
-int main(int argc, char** argv) {
-  return treesim::bench::MicroBenchMain(argc, argv, "micro_core");
-}
+BENCHMARK_MAIN();

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "benchmark/benchmark.h"
-#include "micro_report.h"
 #include "core/branch_profile.h"
 #include "core/positional.h"
 #include "datagen/synthetic_generator.h"
@@ -118,6 +117,4 @@ BENCHMARK_REGISTER_F(TreePairFixture, TedViewConstruction)->Arg(50)->Arg(250);
 }  // namespace
 }  // namespace treesim
 
-int main(int argc, char** argv) {
-  return treesim::bench::MicroBenchMain(argc, argv, "micro_distances");
-}
+BENCHMARK_MAIN();

@@ -66,9 +66,6 @@ int Main(int argc, char** argv) {
   // interesting default here.
   const int workers = ClampThreads(
       static_cast<int>(flags.GetInt("threads", 0)), trees);
-  BenchReport report("parallel_speedup");
-  ReportCommonConfig(common, report);
-  report.config().Int("k", k).Int("workers", workers);
 
   auto labels = std::make_shared<LabelDictionary>();
   SyntheticParams params;
@@ -77,18 +74,6 @@ int Main(int argc, char** argv) {
   params.label_count = 8;
   SyntheticGenerator gen(params, labels, seed);
   auto db = MakeDatabase(labels, gen.GenerateDataset(trees));
-
-  // One report point per layer: sequential/parallel wall seconds + speedup.
-  const auto report_layer = [&report](const char* layer, double seq_seconds,
-                                      double par_seconds,
-                                      const MetricsSnapshot& delta) {
-    report.AddPoint()
-        .Str("label", layer)
-        .Double("sequential_seconds", seq_seconds)
-        .Double("parallel_seconds", par_seconds)
-        .Double("speedup", par_seconds > 0 ? seq_seconds / par_seconds : 0.0)
-        .Raw("metrics", delta.ToJson());
-  };
 
   std::printf("=== parallel speedup: %d trees, %d workers ===\n", trees,
               workers);
@@ -105,12 +90,8 @@ int Main(int argc, char** argv) {
   Require(seq_matrix.Mean() == par_matrix.Mean(), "pairwise matrix");
   std::printf("pairwise:    %8.3fs -> %8.3fs  speedup %.2fx\n", seq_pairwise,
               par_pairwise, seq_pairwise / par_pairwise);
-  {
-    const MetricsSnapshot delta =
-        MetricsRegistry::Global().Snapshot().DiffSince(snap);
-    PrintLayerBreakdown("pairwise", delta);
-    report_layer("pairwise", seq_pairwise, par_pairwise, delta);
-  }
+  PrintLayerBreakdown("pairwise",
+                      MetricsRegistry::Global().Snapshot().DiffSince(snap));
 
   // Layer 2: inverted-file construction (parallel extraction, sequential
   // interning keeps BranchIds byte-identical).
@@ -127,12 +108,8 @@ int Main(int argc, char** argv) {
           "index build");
   std::printf("index build: %8.3fs -> %8.3fs  speedup %.2fx\n", seq_build,
               par_build, seq_build / par_build);
-  {
-    const MetricsSnapshot delta =
-        MetricsRegistry::Global().Snapshot().DiffSince(snap);
-    PrintLayerBreakdown("index build", delta);
-    report_layer("index_build", seq_build, par_build, delta);
-  }
+  PrintLayerBreakdown("index build",
+                      MetricsRegistry::Global().Snapshot().DiffSince(snap));
 
   // Layer 3: batch k-NN through the filter-and-refine engine.
   std::vector<Tree> query_set;
@@ -155,16 +132,12 @@ int Main(int argc, char** argv) {
   }
   std::printf("batch k-NN:  %8.3fs -> %8.3fs  speedup %.2fx\n", seq_batch,
               par_batch, seq_batch / par_batch);
-  {
-    const MetricsSnapshot delta =
-        MetricsRegistry::Global().Snapshot().DiffSince(snap);
-    PrintLayerBreakdown("batch k-NN", delta);
-    report_layer("batch_knn", seq_batch, par_batch, delta);
-  }
+  PrintLayerBreakdown("batch k-NN",
+                      MetricsRegistry::Global().Snapshot().DiffSince(snap));
 
   std::printf("expected shape: pairwise speedup near the worker count; "
               "build and k-NN sublinear\n\n");
-  return report.WriteIfRequested(common.json_path) ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

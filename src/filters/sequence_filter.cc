@@ -87,12 +87,8 @@ bool TREESIM_HOT SequenceFilter::MayQualify(const FilterQueryContext& ctx,
     const TreeSequences& q =
         static_cast<const SequenceQueryContext&>(ctx).sequences();
     const TreeSequences& data = sequences_[static_cast<size_t>(tree_id)];
-    // SED never exceeds the longer sequence, so a larger limit buys nothing
-    // and would overflow the kernel's limit + 1 at INT_MAX.
-    const int limit = static_cast<int>(std::min(
-        static_cast<size_t>(itau), std::max(q.pre.size(), data.pre.size())));
-    pass = StringEditDistanceBounded(q.pre, data.pre, limit) <= limit &&
-           StringEditDistanceBounded(q.post, data.post, limit) <= limit;
+    pass = StringEditDistanceBounded(q.pre, data.pre, itau) <= itau &&
+           StringEditDistanceBounded(q.post, data.post, itau) <= itau;
   } else {
     pass = LowerBound(ctx, tree_id) <= tau;
   }

@@ -37,6 +37,9 @@ int StringEditDistanceBounded(const std::vector<LabelId>& a,
   const std::vector<LabelId>& shorter = a.size() >= b.size() ? b : a;
   const int m = static_cast<int>(longer.size());
   const int n = static_cast<int>(shorter.size());
+  // SED never exceeds the longer length, so a larger limit changes no
+  // result; clamping keeps i + limit and limit + 1 from overflowing.
+  limit = std::min(limit, m);
   if (m - n > limit) return limit + 1;
   if (n == 0) return m;  // m <= limit here; pure insertions
 

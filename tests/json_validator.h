@@ -3,7 +3,7 @@
 
 // Minimal recursive-descent JSON parser for schema-validation tests.
 // The library emits JSON by string-building (util/structured_log.h,
-// bench/bench_report.h, MetricsSnapshot::ToJson); these tests must check
+// MetricsSnapshot::ToJson); these tests must check
 // that output with an INDEPENDENT implementation, so this parser shares no
 // code with the emitters. Test-only: parses into a DOM of JsonValue nodes,
 // keeps object key order, rejects trailing garbage. Not a library API.

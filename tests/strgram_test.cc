@@ -1,3 +1,4 @@
+#include <climits>
 #include <memory>
 #include <vector>
 
@@ -80,6 +81,9 @@ TEST(StringEditDistanceBoundedTest, EmptyAndDegenerate) {
   EXPECT_EQ(StringEditDistanceBounded({}, {}, 0), 0);
   EXPECT_GT(StringEditDistanceBounded({1, 2, 3}, {}, 2), 2);
   EXPECT_EQ(StringEditDistanceBounded({1, 2, 3}, {}, 3), 3);
+  // A limit at INT_MAX must not overflow the band arithmetic.
+  EXPECT_EQ(StringEditDistanceBounded({1, 2, 3}, {1}, INT_MAX), 2);
+  EXPECT_EQ(StringEditDistanceBounded({}, {}, INT_MAX), 0);
 }
 
 TEST(QGramProfileTest, CountsWindows) {

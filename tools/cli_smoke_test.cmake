@@ -68,14 +68,47 @@ run_cli("imported 2 records" import --xml=${xml} --out=${TMP}/imported.trees)
 run_cli("trees: +2" stats --data=${TMP}/imported.trees)
 
 # Error paths exit non-zero.
-run_cli_rejects("INVALID_ARGUMENT.*--k must be positive" knn --data=${data}
-                "--query=article{author{auth0}}" --k=0)
-run_cli_rejects("INVALID_ARGUMENT.*--k must be positive" knn --data=${data}
-                "--query=article{author{auth0}}" --k=-3)
+run_cli_rejects("INVALID_ARGUMENT.*--k must be in \\[1, 2147483647\\], got 0"
+                knn --data=${data} "--query=article{author{auth0}}" --k=0)
+run_cli_rejects("INVALID_ARGUMENT.*--k must be in \\[1, 2147483647\\], got -3"
+                knn --data=${data} "--query=article{author{auth0}}" --k=-3)
 run_cli_rejects("INVALID_ARGUMENT.*--k must be in \\[1, 80\\]"
                 cluster --data=${data} --k=0)
 run_cli_rejects("INVALID_ARGUMENT.*--k must be in \\[1, 80\\]"
                 cluster --data=${data} --k=81)
+
+# Numeric flags are range-checked before they narrow to int: a value below
+# the bound or past INT_MAX is a usage error, not a CHECK abort or a
+# silently wrapped value.
+run_cli_rejects("INVALID_ARGUMENT.*--count must be in \\[1, 2147483647\\], got -3"
+                generate --count=-3 --out=${TMP}/rejected.trees)
+run_cli_rejects("INVALID_ARGUMENT.*--count.*got 3000000000"
+                generate --count=3000000000 --out=${TMP}/rejected.trees)
+run_cli_rejects("INVALID_ARGUMENT.*--labels must be in \\[1, 2147483647\\], got 0"
+                generate --labels=0 --out=${TMP}/rejected.trees)
+run_cli_rejects("INVALID_ARGUMENT.*--q must be in \\[2, 20\\], got 1"
+                distance "--a=a{b}" "--b=a{c}" --q=1)
+run_cli_rejects("INVALID_ARGUMENT.*--q must be in \\[2, 20\\], got 0"
+                distance "--a=a{b}" "--b=a{c}" --q=0)
+run_cli_rejects("INVALID_ARGUMENT.*--q must be in \\[2, 20\\], got 21"
+                distance "--a=a{b}" "--b=a{c}" --q=21)
+run_cli_rejects("INVALID_ARGUMENT.*--tau must be in \\[0, 2147483647\\], got 4294967295"
+                range --data=${data} "--query=article{author{auth0}}"
+                --tau=4294967295)
+run_cli_rejects("INVALID_ARGUMENT.*--tau.*got 99999999999"
+                range --data=${data} "--query=article{author{auth0}}"
+                --tau=99999999999)
+run_cli_rejects("INVALID_ARGUMENT.*--tau.*got -1" join --data=${data} --tau=-1)
+run_cli_rejects("INVALID_ARGUMENT.*--k.*got 3000000000"
+                knn --data=${data} "--query=article{author{auth0}}"
+                --k=3000000000)
+# --threads is checked before any pool is built.
+run_cli_rejects("INVALID_ARGUMENT.*--threads must be in \\[0, 2147483647\\], got -1"
+                range --data=${data} "--query=article{author{auth0}}"
+                --threads=-1)
+run_cli_rejects("INVALID_ARGUMENT.*--threads.*got 3000000000"
+                join --data=${data} --tau=1 --threads=3000000000)
+
 execute_process(COMMAND ${CLI} stats --data=/no/such/file
                 RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
 if(code EQUAL 0)

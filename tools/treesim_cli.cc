@@ -153,19 +153,37 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Pool for `--threads=N` (0 = every hardware thread). Returns nullptr —
+/// Reads the integer flag `--key` (default `def`) and checks it against
+/// [lo, hi]. `hi` is at most INT_MAX, so an accepted value fits an int.
+StatusOr<int> IntFlag(const FlagParser& flags, const std::string& key,
+                      int64_t def, int64_t lo,
+                      int64_t hi = std::numeric_limits<int>::max()) {
+  const int64_t value = flags.GetInt(key, def);
+  if (value < lo || value > hi) {
+    return Status::InvalidArgument(
+        "--" + key + " must be in [" + std::to_string(lo) + ", " +
+        std::to_string(hi) + "], got " + std::to_string(value));
+  }
+  return static_cast<int>(value);
+}
+
+/// Pool for `--threads=N` (0 = every hardware thread). Holds nullptr —
 /// the engines' sequential path — when one worker would be enough for
 /// `items` units of work.
-std::unique_ptr<ThreadPool> MakePool(const FlagParser& flags, int64_t items) {
-  const int threads = static_cast<int>(flags.GetInt("threads", 1));
-  const int effective = ClampThreads(threads, items);
-  if (effective <= 1) return nullptr;
+StatusOr<std::unique_ptr<ThreadPool>> MakePool(const FlagParser& flags,
+                                               int64_t items) {
+  const StatusOr<int> threads = IntFlag(flags, "threads", 1, 0);
+  if (!threads.ok()) return threads.status();
+  const int effective = ClampThreads(*threads, items);
+  if (effective <= 1) return std::unique_ptr<ThreadPool>();
   return std::make_unique<ThreadPool>(effective);
 }
 
 int CmdGenerate(const FlagParser& flags) {
   const std::string kind = flags.GetString("kind", "synthetic");
-  const int count = static_cast<int>(flags.GetInt("count", 1000));
+  const StatusOr<int> count_or = IntFlag(flags, "count", 1000, 1);
+  if (!count_or.ok()) return Fail(count_or.status());
+  const int count = *count_or;
   const std::string out = flags.GetString("out", "");
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   if (out.empty()) return Fail(Status::InvalidArgument("missing --out"));
@@ -176,7 +194,9 @@ int CmdGenerate(const FlagParser& flags) {
     SyntheticParams params;
     params.size_mean = flags.GetDouble("size", 50);
     params.fanout_mean = flags.GetDouble("fanout", 4);
-    params.label_count = static_cast<int>(flags.GetInt("labels", 8));
+    const StatusOr<int> label_count = IntFlag(flags, "labels", 8, 1);
+    if (!label_count.ok()) return Fail(label_count.status());
+    params.label_count = *label_count;
     params.decay = flags.GetDouble("decay", 0.05);
     SyntheticGenerator gen(params, labels, seed);
     forest = gen.GenerateDataset(count);
@@ -260,7 +280,10 @@ int CmdDistance(const FlagParser& flags) {
   if (!b_or.ok()) return Fail(b_or.status());
   const Tree& a = *a_or;
   const Tree& b = *b_or;
-  const int q = static_cast<int>(flags.GetInt("q", 2));
+  // BranchDictionary accepts branch levels 2..20 (Section 3.4).
+  const StatusOr<int> q_or = IntFlag(flags, "q", 2, 2, 20);
+  if (!q_or.ok()) return Fail(q_or.status());
+  const int q = *q_or;
 
   BranchDictionary branches(q);
   const BranchProfile pa = BranchProfile::FromTree(a, branches);
@@ -326,12 +349,15 @@ int CmdRange(const FlagParser& flags) {
   if (!db_or.ok()) return Fail(db_or.status());
   auto query_or = ParseTreeFlag(flags, "query", labels);
   if (!query_or.ok()) return Fail(query_or.status());
-  const int tau = static_cast<int>(flags.GetInt("tau", 2));
+  const StatusOr<int> tau_or = IntFlag(flags, "tau", 2, 0);
+  if (!tau_or.ok()) return Fail(tau_or.status());
+  const int tau = *tau_or;
+  const auto pool = MakePool(flags, (*db_or)->size());
+  if (!pool.ok()) return Fail(pool.status());
 
   SimilaritySearch engine(db_or->get(),
                           MakeFilter(flags.GetString("filter", "bibranch")));
-  const std::unique_ptr<ThreadPool> pool = MakePool(flags, (*db_or)->size());
-  const RangeResult r = engine.Range(*query_or, tau, pool.get());
+  const RangeResult r = engine.Range(*query_or, tau, pool->get());
   std::printf("%zu matches within distance %d (%s refined %lld/%lld, "
               "%.1f ms filter + %.1f ms refine)\n",
               r.matches.size(), tau, engine.filter_name().c_str(),
@@ -351,18 +377,14 @@ int CmdKnn(const FlagParser& flags) {
   if (!db_or.ok()) return Fail(db_or.status());
   auto query_or = ParseTreeFlag(flags, "query", labels);
   if (!query_or.ok()) return Fail(query_or.status());
-  const int64_t k_flag = flags.GetInt("k", 5);
-  if (k_flag <= 0) {
-    return Fail(Status::InvalidArgument("--k must be positive, got " +
-                                        std::to_string(k_flag)));
-  }
-  const int k = static_cast<int>(
-      std::min<int64_t>(k_flag, std::numeric_limits<int>::max()));
+  const StatusOr<int> k = IntFlag(flags, "k", 5, 1);
+  if (!k.ok()) return Fail(k.status());
+  const auto pool = MakePool(flags, (*db_or)->size());
+  if (!pool.ok()) return Fail(pool.status());
 
   SimilaritySearch engine(db_or->get(),
                           MakeFilter(flags.GetString("filter", "bibranch")));
-  const std::unique_ptr<ThreadPool> pool = MakePool(flags, (*db_or)->size());
-  const KnnResult r = engine.Knn(*query_or, k, pool.get());
+  const KnnResult r = engine.Knn(*query_or, *k, pool->get());
   std::printf("%d nearest neighbors (%s refined %lld/%lld)\n",
               static_cast<int>(r.neighbors.size()),
               engine.filter_name().c_str(),
@@ -379,11 +401,14 @@ int CmdJoin(const FlagParser& flags) {
   auto labels = std::make_shared<LabelDictionary>();
   auto db_or = LoadDatabase(flags.GetString("data", ""), labels);
   if (!db_or.ok()) return Fail(db_or.status());
-  const int tau = static_cast<int>(flags.GetInt("tau", 2));
+  const StatusOr<int> tau_or = IntFlag(flags, "tau", 2, 0);
+  if (!tau_or.ok()) return Fail(tau_or.status());
+  const int tau = *tau_or;
+  const auto pool = MakePool(flags, (*db_or)->size());
+  if (!pool.ok()) return Fail(pool.status());
   SimilarityJoin join(db_or->get(),
                       MakeFilter(flags.GetString("filter", "bibranch")));
-  const std::unique_ptr<ThreadPool> pool = MakePool(flags, (*db_or)->size());
-  const JoinResult r = join.SelfJoin(tau, pool.get());
+  const JoinResult r = join.SelfJoin(tau, pool->get());
   std::printf("%zu pairs within distance %d (refined %lld of %lld pairs)\n",
               r.pairs.size(), tau,
               static_cast<long long>(r.stats.edit_distance_calls),
@@ -403,14 +428,11 @@ int CmdCluster(const FlagParser& flags) {
   auto labels = std::make_shared<LabelDictionary>();
   auto db_or = LoadDatabase(flags.GetString("data", ""), labels);
   if (!db_or.ok()) return Fail(db_or.status());
-  const int64_t k_flag = flags.GetInt("k", 3);
-  if (k_flag <= 0 || k_flag > (*db_or)->size()) {
-    return Fail(Status::InvalidArgument(
-        "--k must be in [1, " + std::to_string((*db_or)->size()) +
-        "] (the number of trees), got " + std::to_string(k_flag)));
-  }
+  // k-medoids needs at least one tree per cluster.
+  const StatusOr<int> k = IntFlag(flags, "k", 3, 1, (*db_or)->size());
+  if (!k.ok()) return Fail(k.status());
   KMedoidsOptions options;
-  options.k = static_cast<int>(k_flag);
+  options.k = *k;
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   const ClusteringResult r = KMedoids(**db_or, options, rng);
   std::printf("k=%d cost=%lld iterations=%d (exact distances: %lld, "
